@@ -81,7 +81,7 @@ pub struct Cli {
     /// Expected stream length (tunes thresholds; an estimate is fine).
     pub expected_len: u64,
     /// Worker shards for the `sample`/`count` pipeline (`--shards N`;
-    /// works with and without `--window`; 1 = in-process sampler).
+    /// works with and without `--window`; 1 = the sampler runs inline).
     pub shards: usize,
 }
 

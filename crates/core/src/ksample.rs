@@ -3,163 +3,17 @@
 //! * **Without replacement** — raise the accept-set threshold to
 //!   `kappa_0 * k * log m` (so `|Sacc| >= k` w.h.p.) and draw `k` distinct
 //!   groups; this is [`crate::SamplerConfigBuilder::k`] plus
-//!   [`RobustL0Sampler::query_k`] / [`SlidingWindowSampler::query_k`]. The
-//!   [`KDistinctSampler`] wrapper packages the pattern.
+//!   [`RobustL0Sampler::query_k`] / [`SlidingWindowSampler::query_k`]
+//!   (through the facade: `Rds::builder().k(k)` plus `query_k`).
 //! * **With replacement** — run `k` independent one-sample instances in
 //!   parallel ([`KWithReplacementSampler`]).
 
 use crate::checkpoint::{checkpoint_err, Checkpointable};
 use crate::config::SamplerConfig;
-use crate::distributed::MergedSummary;
 use crate::error::RdsError;
-use crate::infinite::{BatchStats, GroupRecord, ProcessOutcome, RobustL0State, RobustL0Sampler};
-use crate::sampler::DistinctSampler;
+use crate::infinite::{RobustL0State, RobustL0Sampler};
 use serde::{Deserialize, Serialize};
 use rds_geometry::Point;
-use rds_stream::StreamItem;
-
-/// Draws `k` distinct groups per query (sampling without replacement) in
-/// the infinite window.
-///
-/// # Examples
-///
-/// ```
-/// use rds_core::{KDistinctSampler, SamplerConfig};
-/// use rds_geometry::Point;
-///
-/// let mut s = KDistinctSampler::try_new(SamplerConfig::builder(1, 0.5).seed(1).build().unwrap(), 3).unwrap();
-/// for i in 0..200 {
-///     s.process(&Point::new(vec![(i % 20) as f64 * 10.0]));
-/// }
-/// assert_eq!(s.sample().len(), 3);
-/// ```
-#[derive(Debug)]
-pub struct KDistinctSampler {
-    inner: RobustL0Sampler,
-    k: usize,
-}
-
-impl KDistinctSampler {
-    /// Creates the sampler; the threshold scales with `k` as in
-    /// Section 2.3.
-    ///
-    /// # Errors
-    ///
-    /// [`RdsError::InvalidK`] when `k == 0`, or any
-    /// [`SamplerConfig::validate`] failure.
-    pub fn try_new(cfg: SamplerConfig, k: usize) -> Result<Self, RdsError> {
-        if k == 0 {
-            return Err(RdsError::InvalidK);
-        }
-        Ok(Self {
-            inner: RobustL0Sampler::try_new(SamplerConfig { k, ..cfg })?,
-            k,
-        })
-    }
-
-    /// Feeds one stream point.
-    pub fn process(&mut self, p: &Point) {
-        self.inner.process(p);
-    }
-
-    /// Draws `min(k, |Sacc|)` distinct groups.
-    pub fn sample(&mut self) -> Vec<GroupRecord> {
-        let k = self.k;
-        DistinctSampler::query_k(&mut self.inner, k)
-    }
-
-    /// The configured `k`.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The wrapped single-sample structure.
-    pub fn inner(&self) -> &RobustL0Sampler {
-        &self.inner
-    }
-}
-
-/// The serializable full state of a [`KDistinctSampler`]: the configured
-/// `k` plus the wrapped single-structure state.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct KDistinctState {
-    k: usize,
-    inner: RobustL0State,
-}
-
-impl Checkpointable for KDistinctSampler {
-    type State = KDistinctState;
-
-    fn checkpoint_state(&self) -> KDistinctState {
-        KDistinctState {
-            k: self.k,
-            inner: self.inner.checkpoint_state(),
-        }
-    }
-
-    fn try_from_state(state: KDistinctState) -> Result<Self, RdsError> {
-        if state.k == 0 {
-            return Err(RdsError::InvalidK);
-        }
-        if state.inner.cfg().k != state.k {
-            return Err(checkpoint_err(format!(
-                "k-sampler state draws k = {} but its inner threshold was \
-                 scaled for k = {}",
-                state.k,
-                state.inner.cfg().k
-            )));
-        }
-        Ok(Self {
-            inner: RobustL0Sampler::try_from_state(state.inner)?,
-            k: state.k,
-        })
-    }
-
-    fn state_config(state: &KDistinctState) -> Option<&SamplerConfig> {
-        Some(state.inner.cfg())
-    }
-}
-
-impl DistinctSampler for KDistinctSampler {
-    type Summary = MergedSummary;
-
-    /// Feeds the item's point; the stamp is ignored (infinite window).
-    fn process(&mut self, item: &StreamItem) -> ProcessOutcome {
-        self.inner.process(&item.point)
-    }
-
-    fn process_batch(&mut self, items: &[StreamItem]) -> BatchStats {
-        DistinctSampler::process_batch(&mut self.inner, items)
-    }
-
-    fn query_record(&mut self) -> Option<GroupRecord> {
-        DistinctSampler::query_record(&mut self.inner)
-    }
-
-    fn query_k(&mut self, k: usize) -> Vec<GroupRecord> {
-        DistinctSampler::query_k(&mut self.inner, k)
-    }
-
-    fn f0_estimate(&self) -> f64 {
-        self.inner.f0_estimate()
-    }
-
-    fn seen(&self) -> u64 {
-        self.inner.seen()
-    }
-
-    fn words(&self) -> usize {
-        self.inner.words()
-    }
-
-    fn summary(&self) -> MergedSummary {
-        DistinctSampler::summary(&self.inner)
-    }
-
-    fn into_summary(self) -> MergedSummary {
-        DistinctSampler::into_summary(self.inner)
-    }
-}
 
 /// Draws `k` samples with replacement: `k` independent copies of
 /// Algorithm 1, one sample from each (Section 2.3).
@@ -273,34 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn without_replacement_returns_distinct() {
-        let mut s = KDistinctSampler::try_new(SamplerConfig::builder(1, 0.5).seed(2).build().unwrap(), 5).unwrap();
-        feed_groups(400, 40, &mut |p| s.process(p));
-        let picks = s.sample();
-        assert_eq!(picks.len(), 5);
-        for i in 0..picks.len() {
-            for j in (i + 1)..picks.len() {
-                assert!(!picks[i].rep.within(&picks[j].rep, 0.5));
-            }
-        }
-    }
-
-    #[test]
-    fn without_replacement_saturates_at_group_count() {
-        // only 2 groups exist; asking for 5 yields 2
-        let mut s = KDistinctSampler::try_new(SamplerConfig::builder(1, 0.5).seed(3).build().unwrap(), 5).unwrap();
-        feed_groups(50, 2, &mut |p| s.process(p));
-        assert_eq!(s.sample().len(), 2);
-    }
-
-    #[test]
-    fn threshold_scales_with_k() {
-        let one = KDistinctSampler::try_new(SamplerConfig::builder(1, 0.5).build().unwrap(), 1).unwrap();
-        let five = KDistinctSampler::try_new(SamplerConfig::builder(1, 0.5).build().unwrap(), 5).unwrap();
-        assert_eq!(five.inner().threshold(), 5 * one.inner().threshold());
-    }
-
-    #[test]
     fn with_replacement_returns_k_samples() {
         let mut s = KWithReplacementSampler::try_new(SamplerConfig::builder(1, 0.5).seed(4).build().unwrap(), 4).unwrap();
         feed_groups(300, 30, &mut |p| s.process(p));
@@ -356,7 +182,7 @@ mod tests {
 
     #[test]
     fn zero_k_rejected() {
-        let err = KDistinctSampler::try_new(SamplerConfig::builder(1, 0.5).build().unwrap(), 0)
+        let err = KWithReplacementSampler::try_new(SamplerConfig::builder(1, 0.5).build().unwrap(), 0)
             .unwrap_err();
         assert!(matches!(err, RdsError::InvalidK));
     }

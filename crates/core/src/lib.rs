@@ -34,9 +34,7 @@ pub use sw_fixed::{
 };
 pub use f0::{RobustF0Estimator, SlidingWindowF0, DEFAULT_KAPPA_B, FM_PHI};
 pub use jl_adapter::{JlRobustSampler, JlSamplerState, JlSummary};
-pub use ksample::{
-    KDistinctSampler, KDistinctState, KWithReplacementSampler, KWithReplacementState,
-};
+pub use ksample::{KWithReplacementSampler, KWithReplacementState};
 pub use lsh::{
     LshPartitioner, MetricGroup, MetricRobustSampler, MetricSamplerState, MetricSummary,
     SimHashPartitioner,

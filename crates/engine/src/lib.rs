@@ -10,6 +10,14 @@
 //! substreams *is* the stream, and the merge deduplicates groups whose
 //! points were split across shards.
 //!
+//! A one-shard engine has nothing to partition and nothing to merge, so
+//! it runs its sampler inline on the caller's thread: no router, channel,
+//! worker thread or batch buffer. Ingestion calls the sampler directly
+//! ([`ShardedEngine::ingest_batch`] in batch-size chunks through
+//! [`DistinctSampler::process_batch`]), [`ShardedEngine::advance`] expires
+//! window entries at once, and a snapshot is the sampler's own
+//! copy-on-write summary — so one type serves every shard count.
+//!
 //! The engine is generic over `S: DistinctSampler + Send`, so
 //! sliding-window ([`SlidingWindowSampler`]) and other workloads shard
 //! exactly like the infinite-window one ([`RobustL0Sampler`], the default
@@ -41,7 +49,8 @@
 //! snapshots mid-stream observes the engine, it does not alter its
 //! batching. Call `flush` first when a read must cover every ingested
 //! item; [`ShardedEngine::finish`] always covers everything (it flushes,
-//! then moves the final shard states out).
+//! then moves the final shard states out). A one-shard engine buffers
+//! nothing, so its reads always cover every ingested item.
 //!
 //! ```
 //! use rds_core::SamplerConfig;
@@ -75,7 +84,8 @@ use serde::{Deserialize, Serialize};
 use std::sync::mpsc::{self, Sender};
 use std::thread::JoinHandle;
 
-/// Default number of items per batch handed to a worker shard.
+/// Default number of items per batch handed to a worker shard (and per
+/// chunk a one-shard engine feeds its sampler).
 pub const DEFAULT_BATCH_SIZE: usize = 256;
 
 /// The routing grid is this factor coarser than the sampler grid, so one
@@ -109,18 +119,59 @@ struct Shard<S: DistinctSampler> {
     dirty: bool,
 }
 
-/// Deterministic point-to-shard router: the cell of a coarse random grid,
-/// key-mixed and reduced mod the shard count.
-struct Router {
-    grid: Grid,
-    mixer: CellKeyMixer,
-    scratch: Vec<i64>,
+impl<S: DistinctSampler> Shard<S> {
+    fn send(&self, cmd: Cmd<S>) {
+        self.tx
+            .send(cmd)
+            // lint:allow(L1) a send fails only when the worker hung up,
+            // which means it already panicked; propagating that panic
+            // here is the only sound response
+            .expect("shard worker terminated");
+    }
+
+    /// Ships the buffered items to the worker as one batch.
+    fn ship(&mut self, batch_size: usize) {
+        let batch = std::mem::replace(&mut self.buf, Vec::with_capacity(batch_size));
+        self.dirty = true;
+        self.send(Cmd::Batch(batch));
+    }
 }
 
-impl Router {
-    fn new(cfg: &SamplerConfig) -> Self {
+/// The worker threads of a sharded engine (none for one shard).
+/// Dropping it closes the channels so the workers exit their loops, then
+/// waits for them; buffered items are discarded (call
+/// [`ShardedEngine::finish`] to keep them).
+#[derive(Debug)]
+struct Workers<S: DistinctSampler> {
+    shards: Vec<Shard<S>>,
+    handles: Vec<JoinHandle<S>>,
+}
+
+impl<S: DistinctSampler> Drop for Workers<S> {
+    fn drop(&mut self) {
+        self.shards.clear();
+        for h in std::mem::take(&mut self.handles) {
+            let _ = h.join();
+        }
+    }
+}
+
+/// Where an item goes: the lone sampler of a one-shard engine, run
+/// inline, or the shard picked by a coarse random grid — the cell,
+/// key-mixed and reduced mod the shard count.
+enum Router<S> {
+    Inline(Box<S>),
+    Grid {
+        grid: Grid,
+        mixer: CellKeyMixer,
+        scratch: Vec<i64>,
+    },
+}
+
+impl<S> Router<S> {
+    fn grid(cfg: &SamplerConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ ROUTE_GRID_SALT);
-        Self {
+        Router::Grid {
             grid: Grid::random(cfg.dim, ROUTE_SIDE_FACTOR * cfg.side(), &mut rng),
             mixer: CellKeyMixer::new(cfg.seed ^ ROUTE_MIX_SALT),
             scratch: Vec::new(),
@@ -128,15 +179,25 @@ impl Router {
     }
 
     fn shard_of(&mut self, p: &Point, n_shards: usize) -> usize {
-        self.grid.cell_of_into(p, &mut self.scratch);
-        (self.mixer.key(&self.scratch) % n_shards as u64) as usize
+        match self {
+            Router::Inline(_) => 0,
+            Router::Grid {
+                grid,
+                mixer,
+                scratch,
+            } => {
+                grid.cell_of_into(p, scratch);
+                (mixer.key(scratch) % n_shards as u64) as usize
+            }
+        }
     }
 }
 
 /// A sharded ingestion pipeline, generic over the sampler family `S`:
 /// hash-partitions stream items across `N` worker threads, each owning an
 /// `S` built from the shared configuration, and answers queries by
-/// merging the per-shard [`DistinctSampler::Summary`]s.
+/// merging the per-shard [`DistinctSampler::Summary`]s. With one shard
+/// the sampler runs inline on the caller's thread instead.
 ///
 /// The default type parameter is the infinite-window [`RobustL0Sampler`];
 /// [`ShardedEngine::try_sliding_window`] builds the same pipeline over
@@ -153,9 +214,8 @@ impl Router {
 #[derive(Debug)]
 pub struct ShardedEngine<S: DistinctSampler = RobustL0Sampler> {
     cfg: SamplerConfig,
-    router: Router,
-    shards: Vec<Shard<S>>,
-    handles: Vec<JoinHandle<S>>,
+    router: Router<S>,
+    workers: Workers<S>,
     batch_size: usize,
     seen: u64,
     last_stamp: Stamp,
@@ -172,7 +232,7 @@ pub struct ShardedEngine<S: DistinctSampler = RobustL0Sampler> {
     merged_cache: Option<S::Summary>,
 }
 
-impl std::fmt::Debug for Router {
+impl<S> std::fmt::Debug for Router<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Router").finish_non_exhaustive()
     }
@@ -193,7 +253,8 @@ where
     S::Summary: Send + 'static,
 {
     /// Spawns `n_shards` workers whose samplers come from `make` (called
-    /// once per shard, in shard order). Every sampler **must** be built
+    /// once per shard, in shard order) — or, for `n_shards == 1`, runs
+    /// the one sampler inline. Every sampler **must** be built
     /// from the same configuration as `cfg` — identical grid and hash are
     /// what make the summary merge sound; `cfg` itself only drives the
     /// router.
@@ -208,13 +269,16 @@ where
         mut make: impl FnMut(usize) -> S,
     ) -> Result<Self, RdsError> {
         cfg.validate()?;
-        if n_shards == 0 {
-            return Err(RdsError::InvalidShards);
-        }
-        let router = Router::new(cfg);
-        let mut shards = Vec::with_capacity(n_shards);
-        let mut handles = Vec::with_capacity(n_shards);
-        for i in 0..n_shards {
+        let (router, n_workers) = match n_shards {
+            0 => return Err(RdsError::InvalidShards),
+            1 => (Router::Inline(Box::new(make(0))), 0),
+            n => (Router::grid(cfg), n),
+        };
+        let mut workers = Workers {
+            shards: Vec::with_capacity(n_workers),
+            handles: Vec::with_capacity(n_workers),
+        };
+        for i in 0..n_workers {
             let (tx, rx) = mpsc::channel::<Cmd<S>>();
             let mut sampler = make(i);
             let handle = std::thread::spawn(move || {
@@ -233,32 +297,31 @@ where
                 }
                 sampler
             });
-            shards.push(Shard {
+            workers.shards.push(Shard {
                 tx,
                 buf: Vec::with_capacity(DEFAULT_BATCH_SIZE),
                 routed: 0,
                 dirty: true,
             });
-            handles.push(handle);
+            workers.handles.push(handle);
         }
-        let summary_cache = (0..n_shards).map(|_| None).collect();
         Ok(Self {
             cfg: cfg.clone(),
             router,
-            shards,
-            handles,
+            workers,
             batch_size: DEFAULT_BATCH_SIZE,
             seen: 0,
             last_stamp: Stamp::at(0),
             draws: 0,
-            summary_cache,
+            summary_cache: (0..n_workers).map(|_| None).collect(),
             snapshot_stamp: None,
             merged_cache: None,
         })
     }
 
     /// Sets the number of items buffered per shard before a batch is
-    /// shipped to the worker.
+    /// shipped to the worker (one shard: the chunk size of
+    /// [`Self::ingest_batch`]).
     ///
     /// # Panics
     ///
@@ -279,7 +342,8 @@ where
     }
 
     /// Routes one stamped item to its shard, shipping that shard's buffer
-    /// when it reaches the batch size. Stamps must be non-decreasing;
+    /// when it reaches the batch size (one shard: feeds the sampler
+    /// directly). Stamps must be non-decreasing;
     /// they carry the *global* clock, so each shard's window expiry
     /// agrees with the unsharded sampler's.
     pub fn ingest_item(&mut self, item: StreamItem) {
@@ -288,51 +352,58 @@ where
         // not be rewound by a later item (stamps are non-decreasing, so
         // for plain streams this is the same assignment as before).
         self.last_stamp = self.last_stamp.max(item.stamp);
-        let s = self.router.shard_of(&item.point, self.shards.len());
-        let shard = &mut self.shards[s];
+        if let Router::Inline(sampler) = &mut self.router {
+            sampler.process(&item);
+            return;
+        }
+        let s = self.router.shard_of(&item.point, self.workers.shards.len());
+        let shard = &mut self.workers.shards[s];
         shard.routed += 1;
         shard.buf.push(item);
         if shard.buf.len() >= self.batch_size {
-            let batch = std::mem::replace(&mut shard.buf, Vec::with_capacity(self.batch_size));
-            shard.dirty = true;
-            shard
-                .tx
-                .send(Cmd::Batch(batch))
-                // lint:allow(L1) a send fails only when the worker hung
-                // up, which means it already panicked; propagating that
-                // panic here is the only sound response
-                .expect("shard worker terminated");
+            shard.ship(self.batch_size);
         }
     }
 
-    /// Ingests every point of an iterator, one [`Self::ingest`] call per
-    /// point (stamped with the engine's arrival counter). The iterator
-    /// yields plain [`Point`]s — if your input is already chunked (e.g.
-    /// from [`rds_stream::batched`]), flatten it first; the engine does
-    /// its own per-shard batching regardless, so pre-chunking buys
-    /// nothing.
+    /// Ingests every point of an iterator, stamped with the engine's
+    /// arrival counter. The iterator yields plain [`Point`]s — if your
+    /// input is already chunked (e.g. from [`rds_stream::batched`]),
+    /// flatten it first. With workers this is one [`Self::ingest`] call
+    /// per point (the engine does its own per-shard batching); one shard
+    /// feeds its sampler batch-size chunks through
+    /// [`DistinctSampler::process_batch`], which leaves the same state as
+    /// per-point feeding.
     pub fn ingest_batch<I>(&mut self, points: I)
     where
         I: IntoIterator<Item = Point>,
     {
-        for p in points {
-            self.ingest(p);
+        let Router::Inline(sampler) = &mut self.router else {
+            for p in points {
+                self.ingest(p);
+            }
+            return;
+        };
+        let mut points = points.into_iter();
+        let mut chunk = Vec::with_capacity(points.size_hint().0.min(self.batch_size));
+        loop {
+            chunk.clear();
+            for p in points.by_ref().take(self.batch_size) {
+                chunk.push(StreamItem::new(p, Stamp::at(self.seen)));
+                self.seen += 1;
+            }
+            let Some(last) = chunk.last() else {
+                return;
+            };
+            self.last_stamp = self.last_stamp.max(last.stamp);
+            sampler.process_batch(&chunk);
         }
     }
 
     /// Ships every partially filled shard buffer to its worker.
     pub fn flush(&mut self) {
-        for shard in &mut self.shards {
+        for shard in &mut self.workers.shards {
             if !shard.buf.is_empty() {
-                let batch =
-                    std::mem::replace(&mut shard.buf, Vec::with_capacity(self.batch_size));
-                shard.dirty = true;
-                shard
-                    .tx
-                    .send(Cmd::Batch(batch))
-                    // lint:allow(L1) a send fails only when the worker
-                    // hung up, which means it already panicked
-                    .expect("shard worker terminated");
+                shard.ship(self.batch_size);
             }
         }
     }
@@ -358,25 +429,24 @@ where
     where
         S::Summary: Clone,
     {
+        if let Router::Inline(_) = self.router {
+            return vec![self.snapshot()];
+        }
         let now = self.last_stamp;
         let clock_moved = S::TIME_SENSITIVE && self.snapshot_stamp != Some(now);
-        let mut pending = Vec::with_capacity(self.shards.len());
-        for (i, shard) in self.shards.iter().enumerate() {
+        let shards = &mut self.workers.shards;
+        let mut pending = Vec::with_capacity(shards.len());
+        for (i, shard) in shards.iter().enumerate() {
             if !shard.dirty && !clock_moved && self.summary_cache[i].is_some() {
                 pending.push(None);
                 continue;
             }
             let (reply_tx, reply_rx) = mpsc::channel();
-            shard
-                .tx
-                .send(Cmd::Snapshot(reply_tx, now))
-                // lint:allow(L1) a send fails only when the worker hung
-                // up, which means it already panicked
-                .expect("shard worker terminated");
+            shard.send(Cmd::Snapshot(reply_tx, now));
             pending.push(Some(reply_rx));
         }
         self.snapshot_stamp = Some(now);
-        let mut out = Vec::with_capacity(self.shards.len());
+        let mut out = Vec::with_capacity(shards.len());
         for (i, rx) in pending.into_iter().enumerate() {
             let summary = match rx {
                 Some(rx) => {
@@ -385,7 +455,7 @@ where
                     // panicked
                     let s = rx.recv().expect("shard worker terminated");
                     self.summary_cache[i] = Some(s.clone());
-                    self.shards[i].dirty = false;
+                    shards[i].dirty = false;
                     self.merged_cache = None;
                     s
                 }
@@ -406,11 +476,16 @@ where
     /// with the summary merge). Unlike [`Self::finish`], the engine keeps
     /// running; unlike the pre-split API, nothing is flushed implicitly:
     /// items still buffered in this handle are *not* covered until
-    /// [`Self::flush`] ships them.
+    /// [`Self::flush`] ships them. One shard: the sampler's own
+    /// copy-on-write summary ([`DistinctSampler::summary_cow`]).
     pub fn snapshot(&mut self) -> S::Summary
     where
         S::Summary: Clone,
     {
+        if let Router::Inline(sampler) = &mut self.router {
+            sampler.advance(self.last_stamp);
+            return sampler.summary_cow();
+        }
         let summaries = self.shard_summaries();
         if let Some(cached) = &self.merged_cache {
             // Every shard was served from cache, so the previous reduce
@@ -452,12 +527,16 @@ where
         self.snapshot().query_k(k, self.draws)
     }
 
-    /// Advances the engine clock to `now` without feeding an item: the
-    /// next snapshot expires window entries older than `now` on every
-    /// shard (a no-op for infinite-window samplers). Stamps must be
-    /// non-decreasing; an older `now` is ignored.
+    /// Advances the engine clock to `now` without feeding an item:
+    /// window entries older than `now` expire on every shard — at once
+    /// for one shard, at the next snapshot with workers (a no-op for
+    /// infinite-window samplers). Stamps must be non-decreasing; an older
+    /// `now` is ignored.
     pub fn advance(&mut self, now: Stamp) {
         self.last_stamp = self.last_stamp.max(now);
+        if let Router::Inline(sampler) = &mut self.router {
+            sampler.advance(self.last_stamp);
+        }
     }
 
     /// Shuts the workers down and merges their final states, moving (not
@@ -469,15 +548,21 @@ where
         self.flush();
         let now = self.last_stamp;
         // Dropping the senders ends each worker's receive loop.
-        let handles = std::mem::take(&mut self.handles);
-        self.shards.clear();
-        let summaries: Vec<S::Summary> = handles
-            .into_iter()
-            .map(|h| {
+        let handles = std::mem::take(&mut self.workers.handles);
+        self.workers.shards.clear();
+        let samplers: Vec<S> = match self.router {
+            Router::Inline(sampler) => vec![*sampler],
+            Router::Grid { .. } => handles
+                .into_iter()
                 // lint:allow(L1) join returns Err only when the worker
                 // panicked; re-raising that panic on the caller is the
                 // documented contract of finish
-                let mut sampler = h.join().expect("shard worker panicked");
+                .map(|h| h.join().expect("shard worker panicked"))
+                .collect(),
+        };
+        let summaries = samplers
+            .into_iter()
+            .map(|mut sampler| {
                 sampler.advance(now);
                 sampler.into_summary()
             })
@@ -500,9 +585,12 @@ where
         self.seen
     }
 
-    /// Number of worker shards.
+    /// Number of shards.
     pub fn n_shards(&self) -> usize {
-        self.handles.len()
+        match self.router {
+            Router::Inline(_) => 1,
+            Router::Grid { .. } => self.workers.shards.len(),
+        }
     }
 
     /// The batch size in force.
@@ -513,13 +601,53 @@ where
     /// How many items were routed to each shard — diagnostic view of the
     /// partition balance.
     pub fn shard_loads(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.routed).collect()
+        if let Router::Inline(_) = self.router {
+            return vec![self.seen];
+        }
+        self.workers.shards.iter().map(|s| s.routed).collect()
     }
 
     /// The shared configuration the shards (and the router) were built
     /// from.
     pub fn config(&self) -> &SamplerConfig {
         &self.cfg
+    }
+
+    /// The engine clock: the latest stamp ingested or advanced to.
+    pub fn last_stamp(&self) -> Stamp {
+        self.last_stamp
+    }
+
+    /// Runs `f` against every shard's sampler after every ingested item
+    /// (batch buffers are flushed first, and the worker channels are
+    /// FIFO), collecting the results in shard order.
+    fn inspect<T: Send + 'static>(
+        &mut self,
+        f: impl Fn(&mut S) -> T + Clone + Send + 'static,
+    ) -> Vec<T> {
+        self.flush();
+        if let Router::Inline(sampler) = &mut self.router {
+            return vec![f(sampler.as_mut())];
+        }
+        let mut pending = Vec::with_capacity(self.workers.shards.len());
+        for shard in &mut self.workers.shards {
+            // The closure gets `&mut` access to the sampler; assume it
+            // mutated (correctness over cleverness for the escape hatch).
+            shard.dirty = true;
+            let (reply_tx, reply_rx) = mpsc::channel();
+            let f = f.clone();
+            shard.send(Cmd::Inspect(Box::new(move |sampler: &mut S| {
+                // receiver may have given up; ignore
+                let _ = reply_tx.send(f(sampler));
+            })));
+            pending.push(reply_rx);
+        }
+        pending
+            .into_iter()
+            // lint:allow(L1) recv fails only when the worker dropped the
+            // reply sender mid-request, i.e. it panicked
+            .map(|rx| rx.recv().expect("shard worker terminated"))
+            .collect()
     }
 }
 
@@ -540,38 +668,13 @@ where
     /// [`Self::ingest`]/[`Self::ingest_item`]. The workers keep running;
     /// checkpointing is non-destructive.
     pub fn checkpoint(&mut self) -> EngineCheckpoint<S::State> {
-        self.flush();
-        let mut pending = Vec::with_capacity(self.shards.len());
-        for shard in &mut self.shards {
-            // The closure gets `&mut` access to the sampler; assume it
-            // mutated (checkpoint capture does not, but correctness over
-            // cleverness for the escape hatch).
-            shard.dirty = true;
-            let (reply_tx, reply_rx) = mpsc::channel();
-            shard
-                .tx
-                .send(Cmd::Inspect(Box::new(move |sampler: &mut S| {
-                    // receiver may have given up; ignore
-                    let _ = reply_tx.send(sampler.checkpoint_state());
-                })))
-                // lint:allow(L1) a send fails only when the worker hung
-                // up, which means it already panicked
-                .expect("shard worker terminated");
-            pending.push(reply_rx);
-        }
-        let states = pending
-            .into_iter()
-            // lint:allow(L1) recv fails only when the worker dropped the
-            // reply sender mid-request, i.e. it panicked
-            .map(|rx| rx.recv().expect("shard worker terminated"))
-            .collect();
         EngineCheckpoint {
             cfg: self.cfg.clone(),
             batch_size: self.batch_size,
             seen: self.seen,
             last_stamp: self.last_stamp,
             draws: self.draws,
-            states,
+            states: self.inspect(|sampler| sampler.checkpoint_state()),
             routed: self.shard_loads(),
         }
     }
@@ -583,31 +686,7 @@ where
     /// FIFO behind every in-flight batch, so the figure covers every
     /// ingested item.
     pub fn words(&mut self) -> usize {
-        self.flush();
-        let mut pending = Vec::with_capacity(self.shards.len());
-        for shard in &mut self.shards {
-            // The closure gets `&mut` access to the sampler; assume it
-            // mutated (a words() read does not, but correctness over
-            // cleverness for the escape hatch).
-            shard.dirty = true;
-            let (reply_tx, reply_rx) = mpsc::channel();
-            shard
-                .tx
-                .send(Cmd::Inspect(Box::new(move |sampler: &mut S| {
-                    // receiver may have given up; ignore
-                    let _ = reply_tx.send(sampler.words());
-                })))
-                // lint:allow(L1) a send fails only when the worker hung
-                // up, which means it already panicked
-                .expect("shard worker terminated");
-            pending.push(reply_rx);
-        }
-        pending
-            .into_iter()
-            // lint:allow(L1) recv fails only when the worker dropped the
-            // reply sender mid-request, i.e. it panicked
-            .map(|rx| rx.recv().expect("shard worker terminated"))
-            .sum()
+        self.inspect(|sampler| sampler.words()).into_iter().sum()
     }
 
     /// Rebuilds an engine from a checkpoint: restores every shard's
@@ -683,7 +762,7 @@ where
         engine.seen = chk.seen;
         engine.last_stamp = chk.last_stamp;
         engine.draws = chk.draws;
-        for (shard, routed) in engine.shards.iter_mut().zip(chk.routed) {
+        for (shard, routed) in engine.workers.shards.iter_mut().zip(chk.routed) {
             shard.routed = routed;
         }
         Ok(engine)
@@ -710,6 +789,38 @@ pub struct EngineCheckpoint<St> {
 }
 
 impl<St> EngineCheckpoint<St> {
+    /// The checkpoint of a one-shard engine running a sampler with state
+    /// `state` after `seen` ingested items up to clock `last_stamp`, with
+    /// the default batch size and no engine-level draws — the inverse of
+    /// [`Self::into_single`] for an engine driven only by ingestion.
+    pub fn single(cfg: SamplerConfig, state: St, seen: u64, last_stamp: Stamp) -> Self {
+        Self {
+            cfg,
+            batch_size: DEFAULT_BATCH_SIZE,
+            seen,
+            last_stamp,
+            draws: 0,
+            states: vec![state],
+            routed: vec![seen],
+        }
+    }
+
+    /// The lone sampler state of a one-shard checkpoint — exactly what a
+    /// bare sampler fed the same stream would checkpoint. The engine-level
+    /// fields are dropped; [`Self::single`] rebuilds them.
+    ///
+    /// # Errors
+    ///
+    /// The checkpoint itself, unless it holds exactly one shard.
+    pub fn into_single(mut self) -> Result<St, Box<Self>> {
+        if self.states.len() == 1 {
+            if let Some(state) = self.states.pop() {
+                return Ok(state);
+            }
+        }
+        Err(Box::new(self))
+    }
+
     /// The shared configuration the checkpointed engine was built from.
     pub fn config(&self) -> &SamplerConfig {
         &self.cfg
@@ -858,18 +969,6 @@ impl ShardedEngine<SlidingWindowSampler> {
     }
 }
 
-impl<S: DistinctSampler> Drop for ShardedEngine<S> {
-    fn drop(&mut self) {
-        // Close the channels so the workers exit their loops, then wait
-        // for them; buffered items are discarded (call `finish` to keep
-        // them).
-        self.shards.clear();
-        for h in std::mem::take(&mut self.handles) {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1002,18 +1101,70 @@ mod tests {
     }
 
     #[test]
-    fn one_shard_degenerates_to_a_single_site() {
-        // With one shard the engine is a plain sampler behind a channel.
-        let mut single = RobustL0Sampler::try_new(cfg(7)).unwrap();
-        let mut engine = ShardedEngine::try_new(cfg(7), 1).unwrap().with_batch_size(10);
-        for i in 0..300u64 {
-            let p = grouped_point(i, 24);
-            single.process(&p);
-            engine.ingest(p);
+    fn one_shard_runs_the_bare_sampler_inline() {
+        // One shard is the bare sampler run inline: fed the same items,
+        // the same advance past expiry and the same mid-stream snapshots,
+        // both hold byte-identical checkpoint state and serve identical
+        // snapshots and draws.
+        fn json<T: Serialize>(v: &T) -> String {
+            serde_json::to_string(v).unwrap()
         }
-        let merged = engine.finish();
-        assert_eq!(merged.f0_estimate(), single.f0_estimate());
-        assert_eq!(merged.accept_set().len(), single.accept_set().len());
+        fn agree<S>(engine: &mut ShardedEngine<S>, bare: &mut S, at: &str)
+        where
+            S: DistinctSampler + Checkpointable + Send + 'static,
+            S::Summary: Clone + Send + Serialize + 'static,
+        {
+            // state first: a read must not be what brings them in line
+            let state = engine.checkpoint().into_single().ok().unwrap();
+            assert_eq!(json(&state), json(&bare.checkpoint_state()), "{at}: state");
+            let (e, b) = (engine.snapshot(), bare.summary_cow());
+            assert_eq!(json(&e), json(&b), "{at}: snapshot");
+            for draw in 1..6u64 {
+                let reps = |s: &S::Summary| -> Vec<Point> {
+                    s.query_k(4, draw).into_iter().map(|r| r.rep).collect()
+                };
+                assert_eq!(reps(&e), reps(&b), "{at}: query_k draw {draw}");
+            }
+        }
+        fn check<S>(mut engine: ShardedEngine<S>, mut bare: S, expired_f0: Option<f64>)
+        where
+            S: DistinctSampler + Checkpointable + Send + 'static,
+            S::Summary: Clone + Send + Serialize + 'static,
+        {
+            assert_eq!(engine.n_shards(), 1);
+            for i in 0..400u64 {
+                let item = StreamItem::new(grouped_point(i, 24), Stamp::new(i, i / 4));
+                bare.process(&item);
+                engine.ingest_item(item);
+                if i % 97 == 96 {
+                    agree(&mut engine, &mut bare, &format!("item {i}"));
+                }
+            }
+            // chunked ingestion leaves the per-point state
+            engine.ingest_batch((400..700u64).map(|i| grouped_point(i, 24)));
+            for i in 400..700u64 {
+                bare.process(&StreamItem::new(grouped_point(i, 24), Stamp::at(i)));
+            }
+            agree(&mut engine, &mut bare, "after ingest_batch");
+            // the clock moves far past every stamp with no new item
+            engine.advance(Stamp::new(700, 10_000));
+            bare.advance(Stamp::new(700, 10_000));
+            agree(&mut engine, &mut bare, "after advance");
+            if let Some(f0) = expired_f0 {
+                assert_eq!(engine.f0_estimate(), f0, "the advance must expire");
+            }
+            assert_eq!(engine.shard_loads(), vec![700]);
+        }
+        check(
+            ShardedEngine::try_new(cfg(7), 1).unwrap(),
+            RobustL0Sampler::try_new(cfg(7)).unwrap(),
+            None,
+        );
+        check(
+            ShardedEngine::try_sliding_window(cfg(7), Window::Time(30), 1).unwrap(),
+            SlidingWindowSampler::try_new(cfg(7), Window::Time(30)).unwrap(),
+            Some(0.0),
+        );
     }
 
     #[test]

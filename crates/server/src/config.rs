@@ -22,7 +22,8 @@ pub struct BackendConfig {
     pub alpha: f64,
     /// Stream window model (ignored on restore).
     pub window: Window,
-    /// Engine shards; 1 = in-process sampler (ignored on restore).
+    /// Engine shards; 1 = the sampler runs inline on the writer thread
+    /// (ignored on restore).
     pub shards: usize,
     /// PRNG seed (ignored on restore).
     pub seed: u64,

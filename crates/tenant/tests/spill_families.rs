@@ -14,7 +14,7 @@ use rds_geometry::Point;
 use rds_stream::{Stamp, StreamItem, Window};
 use rds_tenant::{spill, TenantRegistry, TenantTemplate};
 use robust_distinct_sampling::core::{
-    Checkpointable, DistinctSampler, FixedRateWindowSampler, JlRobustSampler, KDistinctSampler,
+    Checkpointable, DistinctSampler, FixedRateWindowSampler, JlRobustSampler,
     KWithReplacementSampler, MetricRobustSampler, RobustL0Sampler, SamplerConfig,
     SimHashPartitioner, SlidingWindowSampler,
 };
@@ -136,23 +136,6 @@ proptest! {
         assert_eviction_invisible(
             FixedRateWindowSampler::new(cfg(seed, n), Window::Sequence(w), level),
             FixedRateWindowSampler::new(cfg(seed, n), Window::Sequence(w), level),
-            &items,
-            &schedule,
-        );
-    }
-
-    #[test]
-    fn k_distinct_family_survives_eviction_churn(
-        seed in 0u64..1000,
-        n in 50u64..250,
-        n_entities in 2u64..40,
-        k in 1usize..6,
-        schedule in proptest::collection::vec(0usize..10_000, 1..6),
-    ) {
-        let items = stream(n, n_entities);
-        assert_eviction_invisible(
-            KDistinctSampler::try_new(cfg(seed, n), k).unwrap(),
-            KDistinctSampler::try_new(cfg(seed, n), k).unwrap(),
             &items,
             &schedule,
         );

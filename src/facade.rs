@@ -3,10 +3,12 @@
 //!
 //! [`Rds::builder`] collects the problem parameters — dimension, the
 //! near-duplicate threshold `alpha`, the window model, the shard count —
-//! and assembles the backend: a single in-process sampler for
-//! `shards == 1`, the sharded engine otherwise; the infinite-window
-//! sampler for [`Window::Infinite`], the sliding-window hierarchy for a
-//! bounded window.
+//! and assembles the backend: one [`ShardedEngine`] over the
+//! infinite-window sampler for [`Window::Infinite`], or over the
+//! sliding-window hierarchy for a bounded window. The sampler family is
+//! picked there, once; the shard count is the engine's business (one
+//! shard runs the sampler inline on the writer's thread), so every
+//! configuration takes the same writer code path.
 //!
 //! Two construction paths share that backend:
 //!
@@ -40,7 +42,8 @@
 
 use rds_core::{
     Checkpointable, DistinctSampler, GroupRecord, MergedSummary, RdsError, RobustL0Sampler,
-    SamplerConfig, SamplerSummary, SlidingWindowSampler, WindowSummary, DEFAULT_KAPPA_B,
+    RobustL0State, SamplerConfig, SamplerSummary, SlidingWindowSampler, SlidingWindowState,
+    WindowSummary, DEFAULT_KAPPA_B,
 };
 use rds_engine::{EngineCheckpoint, ShardedEngine};
 use rds_geometry::Point;
@@ -50,18 +53,138 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Which concrete pipeline serves the writer. One variant per
-/// (window, sharding) combination; all four speak [`DistinctSampler`] /
-/// the engine's merged-summary API.
-enum Backend {
-    /// `shards == 1`, infinite window: Algorithm 1 in-process.
-    Single(Box<RobustL0Sampler>),
-    /// `shards == 1`, bounded window: Algorithm 3 in-process.
-    Window(Box<SlidingWindowSampler>),
-    /// `shards > 1`, infinite window.
-    Engine(ShardedEngine<RobustL0Sampler>),
-    /// `shards > 1`, bounded window.
-    WindowEngine(ShardedEngine<SlidingWindowSampler>),
+/// The writer's engine, behind one object-safe interface so a single
+/// writer type serves every sampler family. Implemented once,
+/// generically, for [`ShardedEngine`].
+trait Backend: Send {
+    fn ingest_item(&mut self, item: StreamItem);
+    fn ingest_batch(&mut self, points: &mut dyn Iterator<Item = Point>);
+    fn advance(&mut self, now: Stamp);
+    /// Extracts the engine's current state as a frozen snapshot summary —
+    /// the one summary-extraction path shared by [`RdsWriter::publish`]
+    /// and the warm snapshot every handle pair starts with. The engine
+    /// flushes first, so the snapshot covers every ingested item, and
+    /// advances window samplers to its clock, so quiet streams still
+    /// expire. Copy-on-write: the engine's snapshot `Arc`-shares the
+    /// candidate sets of everything untouched since the previous one —
+    /// publication cost is proportional to what changed, not to state
+    /// size (and no full-summary clone or lock acquisition happens here;
+    /// rds-lint rule L6 enforces that invariant).
+    fn freeze(&mut self) -> SnapshotSummary;
+    fn words(&mut self) -> usize;
+    fn checkpoint(&mut self) -> BackendState;
+    fn seen(&self) -> u64;
+    fn last_stamp(&self) -> Stamp;
+    fn shards(&self) -> usize;
+    fn config(&self) -> &SamplerConfig;
+}
+
+impl<S: Family> Backend for ShardedEngine<S> {
+    fn ingest_item(&mut self, item: StreamItem) {
+        ShardedEngine::ingest_item(self, item);
+    }
+
+    fn ingest_batch(&mut self, points: &mut dyn Iterator<Item = Point>) {
+        ShardedEngine::ingest_batch(self, points);
+    }
+
+    fn advance(&mut self, now: Stamp) {
+        ShardedEngine::advance(self, now);
+    }
+
+    fn freeze(&mut self) -> SnapshotSummary {
+        self.flush();
+        S::snapshot_summary(self.snapshot())
+    }
+
+    fn words(&mut self) -> usize {
+        ShardedEngine::words(self)
+    }
+
+    fn checkpoint(&mut self) -> BackendState {
+        S::backend_state(ShardedEngine::checkpoint(self))
+    }
+
+    fn seen(&self) -> u64 {
+        ShardedEngine::seen(self)
+    }
+
+    fn last_stamp(&self) -> Stamp {
+        ShardedEngine::last_stamp(self)
+    }
+
+    fn shards(&self) -> usize {
+        self.n_shards()
+    }
+
+    fn config(&self) -> &SamplerConfig {
+        ShardedEngine::config(self)
+    }
+}
+
+/// A sampler family the writer can run. The engine does all the work;
+/// the only per-family code is the mapping onto the wire enums
+/// [`SnapshotSummary`] and [`BackendState`].
+trait Family:
+    DistinctSampler<Summary: Clone + Send + 'static> + Checkpointable + Send + 'static
+{
+    fn snapshot_summary(summary: Self::Summary) -> SnapshotSummary;
+    /// One shard stores the bare sampler state (`single`/`window`
+    /// kinds), more shards the engine checkpoint (`engine`/
+    /// `window-engine`).
+    fn backend_state(chk: EngineCheckpoint<Self::State>) -> BackendState;
+    /// The inverse of [`Self::backend_state`], lifting a bare sampler
+    /// state with `single`; `None` for another family's kinds and for an
+    /// engine kind holding one shard (one shard always stores the bare
+    /// sampler state).
+    fn engine_checkpoint(
+        state: BackendState,
+        single: impl FnOnce(Self::State) -> EngineCheckpoint<Self::State>,
+    ) -> Option<EngineCheckpoint<Self::State>>;
+}
+
+impl Family for RobustL0Sampler {
+    fn snapshot_summary(summary: MergedSummary) -> SnapshotSummary {
+        SnapshotSummary::Infinite(summary)
+    }
+
+    fn backend_state(chk: EngineCheckpoint<RobustL0State>) -> BackendState {
+        chk.into_single()
+            .map_or_else(|chk| BackendState::Engine(*chk), BackendState::Single)
+    }
+
+    fn engine_checkpoint(
+        state: BackendState,
+        single: impl FnOnce(RobustL0State) -> EngineCheckpoint<RobustL0State>,
+    ) -> Option<EngineCheckpoint<RobustL0State>> {
+        match state {
+            BackendState::Single(st) => Some(single(st)),
+            BackendState::Engine(chk) if chk.n_shards() > 1 => Some(chk),
+            _ => None,
+        }
+    }
+}
+
+impl Family for SlidingWindowSampler {
+    fn snapshot_summary(summary: WindowSummary) -> SnapshotSummary {
+        SnapshotSummary::Window(summary)
+    }
+
+    fn backend_state(chk: EngineCheckpoint<SlidingWindowState>) -> BackendState {
+        chk.into_single()
+            .map_or_else(|chk| BackendState::WindowEngine(*chk), BackendState::Window)
+    }
+
+    fn engine_checkpoint(
+        state: BackendState,
+        single: impl FnOnce(SlidingWindowState) -> EngineCheckpoint<SlidingWindowState>,
+    ) -> Option<EngineCheckpoint<SlidingWindowState>> {
+        match state {
+            BackendState::Window(st) => Some(single(st)),
+            BackendState::WindowEngine(chk) if chk.n_shards() > 1 => Some(chk),
+            _ => None,
+        }
+    }
 }
 
 /// The summary a snapshot freezes: merged infinite-window state or pooled
@@ -200,35 +323,6 @@ impl SnapshotCell {
     }
 }
 
-/// Extracts the backend's current state as a frozen snapshot summary —
-/// the one summary-extraction path shared by [`RdsWriter::publish`] and
-/// the epoch-0 snapshot of [`RdsBuilder::build_split`]. Window backends
-/// are advanced to `now` first so quiet streams still expire; engine
-/// backends flush so the snapshot covers every ingested item.
-/// Copy-on-write: every path delegates to the backend's
-/// [`DistinctSampler::summary_cow`] machinery, which `Arc`-shares the
-/// candidate sets of everything untouched since the previous snapshot —
-/// publication cost is proportional to what changed, not to state size
-/// (and no full-summary clone or lock acquisition happens here; rds-lint
-/// rule L6 enforces that invariant).
-fn freeze(backend: &mut Backend, now: Stamp) -> SnapshotSummary {
-    match backend {
-        Backend::Single(s) => SnapshotSummary::Infinite(s.summary_cow()),
-        Backend::Window(s) => {
-            DistinctSampler::advance(s.as_mut(), now);
-            SnapshotSummary::Window(s.summary_cow())
-        }
-        Backend::Engine(e) => {
-            e.flush();
-            SnapshotSummary::Infinite(e.snapshot())
-        }
-        Backend::WindowEngine(e) => {
-            e.flush();
-            SnapshotSummary::Window(e.snapshot())
-        }
-    }
-}
-
 /// Local shorthand for [`RdsError::checkpoint`].
 fn checkpoint_err(reason: impl Into<String>) -> RdsError {
     RdsError::checkpoint(reason)
@@ -255,14 +349,15 @@ pub const CHECKPOINT_MAGIC: &str = "rds-checkpoint";
 /// The checkpoint container format version this build writes and reads.
 pub const CHECKPOINT_FORMAT_VERSION: u64 = 1;
 
-/// The backend's full state inside a [`WriterCheckpoint`] — one variant
-/// per (window, sharding) combination, mirroring [`Backend`].
+/// The backend's full state inside a [`WriterCheckpoint`] — one wire
+/// kind per (window, sharding) combination: a one-shard writer stores
+/// its bare sampler state, a sharded one the engine checkpoint.
 #[derive(Clone, Debug)]
 enum BackendState {
-    Single(rds_core::RobustL0State),
-    Window(rds_core::SlidingWindowState),
-    Engine(EngineCheckpoint<rds_core::RobustL0State>),
-    WindowEngine(EngineCheckpoint<rds_core::SlidingWindowState>),
+    Single(RobustL0State),
+    Window(SlidingWindowState),
+    Engine(EngineCheckpoint<RobustL0State>),
+    WindowEngine(EngineCheckpoint<SlidingWindowState>),
 }
 
 // The vendored serde derive handles only named-field structs; the enum
@@ -448,6 +543,43 @@ impl WriterCheckpoint {
         WriterCheckpoint::from_value(payload)
             .map_err(|e| checkpoint_err(format!("malformed payload: {e}")))
     }
+
+    /// Rebuilds the family-`S` engine the backend state describes, after
+    /// checking it against the config, window and shard echo. Per-shard
+    /// validation (each state's embedded config, shard window agreement)
+    /// happens inside [`ShardedEngine::try_restore`]; here only the
+    /// echo-level facts the engine cannot know are checked.
+    fn into_engine<S: Family>(self) -> Result<Box<dyn Backend>, RdsError> {
+        let single = |st| EngineCheckpoint::single(self.cfg.clone(), st, self.fed, self.last_stamp);
+        let Some(chk) = S::engine_checkpoint(self.backend, single) else {
+            return Err(checkpoint_err(
+                "backend state kind does not match the checkpoint's \
+                 window/shard echo",
+            ));
+        };
+        if *chk.config() != self.cfg {
+            return Err(checkpoint_err(
+                "backend sampler state embeds a configuration differing \
+                 from the checkpoint's config echo",
+            ));
+        }
+        if chk.n_shards() != self.shards {
+            return Err(checkpoint_err(format!(
+                "backend state holds {} shards but the checkpoint echoes {}",
+                chk.n_shards(),
+                self.shards
+            )));
+        }
+        if let Some(w) = chk.states().first().and_then(S::state_window) {
+            if w != self.window {
+                return Err(checkpoint_err(format!(
+                    "window state covers {w:?} but the checkpoint echoes {:?}",
+                    self.window
+                )));
+            }
+        }
+        Ok(Box::new(ShardedEngine::<S>::try_restore(chk)?))
+    }
 }
 
 /// When the writer publishes a fresh [`Snapshot`] on its own, besides
@@ -456,10 +588,12 @@ impl WriterCheckpoint {
 /// Publication costs one summary extraction (and, sharded, one flush +
 /// per-shard snapshot round trip), so the cadence trades reader freshness
 /// against ingest throughput: `EveryN(4096)` (the default) keeps readers
-/// at most 4096 items behind at ~0.1% ingest overhead on typical
-/// configurations; `Manual` gives latency-insensitive pipelines full
-/// control; `EveryBatch` pins freshness to [`RdsWriter::process_batch`]
-/// boundaries.
+/// at most 4096 items behind; `Manual` gives latency-insensitive
+/// pipelines full control; `EveryBatch` pins freshness to
+/// [`RdsWriter::process_batch`] boundaries. What one publish costs
+/// depends on the shard count and the state size; the traced run of the
+/// repo benchmark reports it as `facade.publish_us_p50` (see
+/// `perfbench/README.md`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PublishCadence {
     /// Only explicit [`RdsWriter::publish`] calls publish.
@@ -480,14 +614,11 @@ pub const DEFAULT_PUBLISH_EVERY: u64 = 4096;
 /// The writer is deliberately not `Clone`: one thread ingests. Everything
 /// the serving path needs lives in the reader.
 pub struct RdsWriter {
-    backend: Backend,
+    engine: Box<dyn Backend>,
     window: Window,
-    shards: usize,
     /// The `count_accuracy` target the pair was built with, echoed into
     /// checkpoints so a restore can verify the threshold regime matches.
     eps: Option<f64>,
-    fed: u64,
-    last_stamp: Stamp,
     epoch: u64,
     since_publish: u64,
     /// Whether [`Self::advance`] moved a window backend's clock since the
@@ -504,8 +635,8 @@ impl std::fmt::Debug for RdsWriter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RdsWriter")
             .field("window", &self.window)
-            .field("shards", &self.shards)
-            .field("fed", &self.fed)
+            .field("shards", &self.shards())
+            .field("fed", &self.seen())
             .field("epoch", &self.epoch)
             .field("cadence", &self.cadence)
             .finish_non_exhaustive()
@@ -513,29 +644,57 @@ impl std::fmt::Debug for RdsWriter {
 }
 
 impl RdsWriter {
+    /// Wraps `engine` into a handle pair whose readers start with its
+    /// current state, published as `epoch`.
+    fn pair(
+        mut engine: Box<dyn Backend>,
+        window: Window,
+        eps: Option<f64>,
+        epoch: u64,
+        cadence: PublishCadence,
+    ) -> (RdsWriter, RdsReader) {
+        let snapshot = Snapshot {
+            epoch,
+            seen: engine.seen(),
+            window,
+            summary: engine.freeze(),
+        };
+        let cell = Arc::new(SnapshotCell::new(snapshot));
+        let reader = RdsReader {
+            cell: Arc::clone(&cell),
+            draws: Arc::new(AtomicU64::new(0)),
+        };
+        let writer = RdsWriter {
+            engine,
+            window,
+            eps,
+            epoch,
+            since_publish: 0,
+            advanced_since_publish: false,
+            cadence,
+            cell,
+        };
+        (writer, reader)
+    }
+
     /// Feeds one point, stamped with the arrival index (sequence number
     /// == timestamp). Use [`Self::process_item`] for explicit timestamps
     /// (time-based windows).
     pub fn process(&mut self, p: Point) {
-        let stamp = Stamp::at(self.fed);
+        let stamp = Stamp::at(self.seen());
         self.process_item(StreamItem::new(p, stamp));
     }
 
     /// Feeds one stamped stream item. Stamps must be non-decreasing.
     pub fn process_item(&mut self, item: StreamItem) {
-        self.fed += 1;
-        self.last_stamp = self.last_stamp.max(item.stamp);
-        match &mut self.backend {
-            Backend::Single(s) => {
-                s.process(&item.point);
-            }
-            Backend::Window(s) => {
-                s.process(&item);
-            }
-            Backend::Engine(e) => e.ingest_item(item),
-            Backend::WindowEngine(e) => e.ingest_item(item),
-        }
-        self.since_publish += 1;
+        self.engine.ingest_item(item);
+        self.tick(1);
+    }
+
+    /// Counts `events` state changes toward [`PublishCadence::EveryN`],
+    /// publishing when the interval is due.
+    fn tick(&mut self, events: u64) {
+        self.since_publish += events;
         if let PublishCadence::EveryN(n) = self.cadence {
             if self.since_publish >= n.max(1) {
                 self.publish();
@@ -550,55 +709,43 @@ impl RdsWriter {
     /// nothing new to publish, and readers comparing epochs would
     /// otherwise see phantom updates).
     ///
-    /// The infinite-window single-process backend forwards the points in
-    /// chunks through the sampler's batched arrival path (one hash sweep
+    /// The points go to the engine in runs ([`ShardedEngine::ingest_batch`]:
+    /// one shard feeds its sampler's batched arrival path, one hash sweep
     /// per chunk instead of one per point) — the resulting sampler state
     /// is identical to per-point feeding. Under
-    /// [`PublishCadence::EveryN`] the per-point path is kept, because a
-    /// publish may fall due in the middle of a batch.
+    /// [`PublishCadence::EveryN`] each run ends where a publish falls due,
+    /// so publications land on exactly the same items as per-point
+    /// feeding would put them.
     pub fn process_batch<I>(&mut self, points: I)
     where
         I: IntoIterator<Item = Point>,
     {
-        const CHUNK: usize = 256;
-        let before = self.fed;
-        let chunkable = matches!(self.backend, Backend::Single(_))
-            && !matches!(self.cadence, PublishCadence::EveryN(_));
-        if chunkable {
-            let mut points = points.into_iter();
-            let mut buf: Vec<Point> = Vec::with_capacity(CHUNK);
-            loop {
-                buf.clear();
-                buf.extend(points.by_ref().take(CHUNK));
-                if buf.is_empty() {
-                    break;
-                }
-                if let Backend::Single(s) = &mut self.backend {
-                    s.process_batch(&buf);
-                }
-                // Same bookkeeping as per-point feeding: arrival-index
-                // stamps are monotone, so only the chunk's last one can
-                // advance the clock.
-                self.fed += buf.len() as u64;
-                self.last_stamp = self.last_stamp.max(Stamp::at(self.fed - 1));
-                self.since_publish += buf.len() as u64;
+        let before = self.seen();
+        let mut points = points.into_iter();
+        loop {
+            let room = match self.cadence {
+                PublishCadence::EveryN(n) => n.max(1).saturating_sub(self.since_publish),
+                _ => u64::MAX,
+            };
+            let room = usize::try_from(room).unwrap_or(usize::MAX).max(1);
+            let fed = self.seen();
+            self.engine.ingest_batch(&mut points.by_ref().take(room));
+            let n = self.seen() - fed;
+            if n == 0 {
+                break;
             }
-        } else {
-            for p in points {
-                self.process(p);
-            }
+            self.tick(n);
         }
-        if self.cadence == PublishCadence::EveryBatch && self.fed > before {
+        if self.cadence == PublishCadence::EveryBatch && self.seen() > before {
             self.publish();
         }
     }
 
     /// Advances the clock to `now` without feeding a point: window
-    /// entries older than `now` expire — immediately for the in-process
-    /// window backend, at the next snapshot for sharded backends — so the
-    /// next published snapshot never serves them (a no-op for the
-    /// infinite window). Stamps must be non-decreasing; an older `now` is
-    /// ignored.
+    /// entries older than `now` expire — immediately for one shard, at
+    /// the next snapshot for sharded backends — so the next published
+    /// snapshot never serves them (a no-op for the infinite window).
+    /// Stamps must be non-decreasing; an older `now` is ignored.
     ///
     /// Under [`PublishCadence::EveryN`], an advance that moves the clock
     /// of a window backend counts as one tick (the counter counts
@@ -606,33 +753,12 @@ impl RdsWriter {
     /// that only advances still republishes every `n` events, so readers
     /// never serve arbitrarily stale expiry state between publishes.
     pub fn advance(&mut self, now: Stamp) {
-        let moved = now > self.last_stamp;
-        self.last_stamp = self.last_stamp.max(now);
-        let now = self.last_stamp;
-        let window_moved =
-            moved && matches!(self.backend, Backend::Window(_) | Backend::WindowEngine(_));
-        if window_moved {
+        let moved = now > self.engine.last_stamp();
+        self.engine.advance(now);
+        if moved && !self.window.is_infinite() {
             // Window content may have changed (expiry) without an item.
             self.advanced_since_publish = true;
-        }
-        match &mut self.backend {
-            // Infinite window: nothing expires.
-            Backend::Single(_) => {}
-            // Regression (PR 5): `now` used to be dropped here, so the
-            // unsharded window backend kept expired entries alive (and
-            // matchable by later low-stamped items) until the next
-            // publish — forward it like the engine backends do.
-            Backend::Window(s) => DistinctSampler::advance(s.as_mut(), now),
-            Backend::Engine(e) => e.advance(now),
-            Backend::WindowEngine(e) => e.advance(now),
-        }
-        if window_moved {
-            self.since_publish += 1;
-            if let PublishCadence::EveryN(n) = self.cadence {
-                if self.since_publish >= n.max(1) {
-                    self.publish();
-                }
-            }
+            self.tick(1);
         }
     }
 
@@ -642,13 +768,13 @@ impl RdsWriter {
     ///
     /// This is the only point where the writer does read-side work, and
     /// it is copy-on-write: sharded backends flush their batch buffers
-    /// and re-merge only when a shard actually changed; single-process
+    /// and re-merge only when a shard actually changed; one-shard
     /// backends `Arc`-share every candidate set untouched since the
     /// previous publish. A publish with nothing new is `O(1)`; one after
     /// `k` changed levels copies those levels only — never the whole
     /// state. The snapshot swap itself is one lock-free atomic store.
     pub fn publish(&mut self) -> u64 {
-        let summary = freeze(&mut self.backend, self.last_stamp);
+        let summary = self.engine.freeze();
         self.epoch += 1;
         self.since_publish = 0;
         self.advanced_since_publish = false;
@@ -661,7 +787,7 @@ impl RdsWriter {
         );
         self.cell.store(Snapshot {
             epoch: self.epoch,
-            seen: self.fed,
+            seen: self.seen(),
             window: self.window,
             summary,
         });
@@ -670,7 +796,7 @@ impl RdsWriter {
 
     /// Number of items fed through this writer (published or not).
     pub fn seen(&self) -> u64 {
-        self.fed
+        self.engine.seen()
     }
 
     /// The epoch of the latest published snapshot (0 = only the initial
@@ -684,16 +810,17 @@ impl RdsWriter {
         self.window
     }
 
-    /// The shard count (1 = in-process sampler).
+    /// The shard count (1 = the sampler runs inline on the writer's
+    /// thread).
     pub fn shards(&self) -> usize {
-        self.shards
+        self.engine.shards()
     }
 
     /// The ambient dimension the pair was built for (useful after a
     /// [`RdsBuilder::restore_from`], where the dimension comes from the
     /// checkpoint's config echo rather than the caller).
     pub fn dim(&self) -> usize {
-        self.backend_cfg().dim
+        self.engine.config().dim
     }
 
     /// The backend's in-memory footprint in machine words — the paper's
@@ -704,12 +831,7 @@ impl RdsWriter {
     /// figure covers every processed item; `&mut` for exactly that
     /// reason.
     pub fn words(&mut self) -> usize {
-        match &mut self.backend {
-            Backend::Single(s) => s.words(),
-            Backend::Window(s) => s.words(),
-            Backend::Engine(e) => e.words(),
-            Backend::WindowEngine(e) => e.words(),
-        }
+        self.engine.words()
     }
 
     /// The publication cadence in force.
@@ -722,16 +844,6 @@ impl RdsWriter {
         self.cadence = cadence;
     }
 
-    /// The configuration the backend was built from.
-    fn backend_cfg(&self) -> &SamplerConfig {
-        match &self.backend {
-            Backend::Single(s) => s.context().cfg(),
-            Backend::Window(s) => s.context().cfg(),
-            Backend::Engine(e) => e.config(),
-            Backend::WindowEngine(e) => e.config(),
-        }
-    }
-
     /// Captures the writer's complete state as a [`WriterCheckpoint`]:
     /// the config echo, the publication clock, and the backend's full
     /// sampler state (per shard, for sharded backends). Sharded backends
@@ -740,19 +852,14 @@ impl RdsWriter {
     /// ever processed. The writer keeps running — checkpointing is
     /// non-destructive.
     pub fn checkpoint(&mut self) -> WriterCheckpoint {
-        let backend = match &mut self.backend {
-            Backend::Single(s) => BackendState::Single(s.checkpoint_state()),
-            Backend::Window(s) => BackendState::Window(s.checkpoint_state()),
-            Backend::Engine(e) => BackendState::Engine(e.checkpoint()),
-            Backend::WindowEngine(e) => BackendState::WindowEngine(e.checkpoint()),
-        };
+        let backend = self.engine.checkpoint();
         WriterCheckpoint {
-            cfg: self.backend_cfg().clone(),
+            cfg: self.engine.config().clone(),
             window: self.window,
-            shards: self.shards,
+            shards: self.shards(),
             eps: self.eps,
-            fed: self.fed,
-            last_stamp: self.last_stamp,
+            fed: self.seen(),
+            last_stamp: self.engine.last_stamp(),
             epoch: self.epoch,
             dirty: self.since_publish > 0 || self.advanced_since_publish,
             backend,
@@ -901,8 +1008,9 @@ impl RdsBuilder {
         self
     }
 
-    /// Shards ingestion across `n` worker threads (default 1 = a plain
-    /// in-process sampler). Works for every window model.
+    /// Shards ingestion across `n` worker threads (default 1 = the
+    /// sampler runs inline on the writer's thread). Works for every
+    /// window model.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = Some(n);
         self
@@ -984,66 +1092,26 @@ impl RdsBuilder {
             }
             None => cfg.threshold(),
         };
-        let mut backend = Self::build_backend(cfg, window, shards, threshold)?;
+        // The sampler family is picked here, once; the engine owns the
+        // shard count (and rejects zero).
+        let engine: Box<dyn Backend> = match window {
+            Window::Infinite => {
+                Box::new(ShardedEngine::try_with_threshold(cfg, shards, threshold)?)
+            }
+            window => Box::new(ShardedEngine::try_sliding_window_with_threshold(
+                cfg, window, shards, threshold,
+            )?),
+        };
         // The epoch-0 snapshot: empty but well-formed, so readers work
         // (and report `seen() == 0`) before the first publication.
-        let empty = freeze(&mut backend, Stamp::at(0));
-        let writer = RdsWriter {
-            backend,
-            window,
-            shards,
-            eps: self.eps,
-            fed: 0,
-            last_stamp: Stamp::at(0),
-            epoch: 0,
-            since_publish: 0,
-            advanced_since_publish: false,
-            cadence: self.resolved_cadence(),
-            cell: Arc::new(SnapshotCell::new(Snapshot {
-                epoch: 0,
-                seen: 0,
-                window,
-                summary: empty,
-            })),
-        };
-        let reader = RdsReader {
-            cell: Arc::clone(&writer.cell),
-            draws: Arc::new(AtomicU64::new(0)),
-        };
-        Ok((writer, reader))
+        let cadence = self.resolved_cadence();
+        Ok(RdsWriter::pair(engine, window, self.eps, 0, cadence))
     }
 
     /// The cadence in force after defaulting.
     fn resolved_cadence(&self) -> PublishCadence {
         self.cadence
             .unwrap_or(PublishCadence::EveryN(DEFAULT_PUBLISH_EVERY))
-    }
-
-    /// Assembles the (window, shards) backend — the one construction path
-    /// shared by [`Self::build_split`] and the checkpoint restore.
-    fn build_backend(
-        cfg: SamplerConfig,
-        window: Window,
-        shards: usize,
-        threshold: usize,
-    ) -> Result<Backend, RdsError> {
-        if shards == 0 {
-            return Err(RdsError::InvalidShards);
-        }
-        Ok(match (window, shards) {
-            (Window::Infinite, 1) => {
-                Backend::Single(Box::new(RobustL0Sampler::try_with_threshold(cfg, threshold)?))
-            }
-            (Window::Infinite, n) => {
-                Backend::Engine(ShardedEngine::try_with_threshold(cfg, n, threshold)?)
-            }
-            (window, 1) => Backend::Window(Box::new(SlidingWindowSampler::try_with_threshold(
-                cfg, window, threshold,
-            )?)),
-            (window, n) => Backend::WindowEngine(
-                ShardedEngine::try_sliding_window_with_threshold(cfg, window, n, threshold)?,
-            ),
-        })
     }
 
     /// Restores a writer/reader pair from a checkpoint captured with
@@ -1092,70 +1160,6 @@ impl RdsBuilder {
         ensure(self.eps, chk.eps.unwrap_or(f64::NAN), "count_accuracy eps")?;
         chk.cfg.validate()?;
 
-        fn ensure_cfg(embedded: &SamplerConfig, echo: &SamplerConfig) -> Result<(), RdsError> {
-            if embedded != echo {
-                return Err(checkpoint_err(
-                    "backend sampler state embeds a configuration differing \
-                     from the checkpoint's config echo",
-                ));
-            }
-            Ok(())
-        }
-        let mut backend = match (chk.window, chk.shards, chk.backend) {
-            (Window::Infinite, 1, BackendState::Single(st)) => {
-                ensure_cfg(st.cfg(), &chk.cfg)?;
-                Backend::Single(Box::new(RobustL0Sampler::try_from_state(st)?))
-            }
-            (window, 1, BackendState::Window(st)) if !window.is_infinite() => {
-                ensure_cfg(st.cfg(), &chk.cfg)?;
-                if st.window() != window {
-                    return Err(checkpoint_err(format!(
-                        "window state covers {:?} but the checkpoint echoes {window:?}",
-                        st.window()
-                    )));
-                }
-                Backend::Window(Box::new(SlidingWindowSampler::try_from_state(st)?))
-            }
-            // Per-shard validation (each state's embedded config, shard
-            // window agreement) happens inside `ShardedEngine::try_restore`;
-            // here only the echo-level facts the engine cannot know are
-            // checked.
-            (Window::Infinite, n, BackendState::Engine(ec)) if n > 1 => {
-                ensure_cfg(ec.config(), &chk.cfg)?;
-                if ec.n_shards() != n {
-                    return Err(checkpoint_err(format!(
-                        "engine state holds {} shards but the checkpoint echoes {n}",
-                        ec.n_shards()
-                    )));
-                }
-                Backend::Engine(ShardedEngine::try_restore(ec)?)
-            }
-            (window, n, BackendState::WindowEngine(ec)) if !window.is_infinite() && n > 1 => {
-                ensure_cfg(ec.config(), &chk.cfg)?;
-                if ec.n_shards() != n {
-                    return Err(checkpoint_err(format!(
-                        "engine state holds {} shards but the checkpoint echoes {n}",
-                        ec.n_shards()
-                    )));
-                }
-                if let Some(st) = ec.states().first() {
-                    if st.window() != window {
-                        return Err(checkpoint_err(format!(
-                            "shard window state covers {:?} but the checkpoint \
-                             echoes {window:?}",
-                            st.window()
-                        )));
-                    }
-                }
-                Backend::WindowEngine(ShardedEngine::try_restore(ec)?)
-            }
-            _ => {
-                return Err(checkpoint_err(
-                    "backend state kind does not match the checkpoint's \
-                     window/shard echo",
-                ))
-            }
-        };
         // A warm snapshot, so readers answer immediately. Epochs version
         // *content*: when the checkpointed state differs from what epoch
         // `chk.epoch` last published (items processed since, or a window
@@ -1163,31 +1167,14 @@ impl RdsBuilder {
         // as `chk.epoch + 1`, never as a reused epoch with different
         // content. A clean checkpoint keeps its epoch — the full state IS
         // the last published content.
-        let summary = freeze(&mut backend, chk.last_stamp);
         let epoch = if chk.dirty { chk.epoch + 1 } else { chk.epoch };
-        let writer = RdsWriter {
-            backend,
-            window: chk.window,
-            shards: chk.shards,
-            eps: chk.eps,
-            fed: chk.fed,
-            last_stamp: chk.last_stamp,
-            epoch,
-            since_publish: 0,
-            advanced_since_publish: false,
-            cadence: self.resolved_cadence(),
-            cell: Arc::new(SnapshotCell::new(Snapshot {
-                epoch,
-                seen: chk.fed,
-                window: chk.window,
-                summary,
-            })),
+        let (window, eps) = (chk.window, chk.eps);
+        // The sampler family is picked here, once, from the window echo.
+        let engine = match window {
+            Window::Infinite => chk.into_engine::<RobustL0Sampler>()?,
+            _ => chk.into_engine::<SlidingWindowSampler>()?,
         };
-        let reader = RdsReader {
-            cell: Arc::clone(&writer.cell),
-            draws: Arc::new(AtomicU64::new(0)),
-        };
-        Ok((writer, reader))
+        Ok(RdsWriter::pair(engine, window, eps, epoch, self.resolved_cadence()))
     }
 
     /// Reads, verifies and restores a checkpoint container written by
@@ -1281,7 +1268,8 @@ impl Rds {
         self.writer.window()
     }
 
-    /// The shard count (1 = in-process sampler).
+    /// The shard count (1 = the sampler runs inline on the caller's
+    /// thread).
     pub fn shards(&self) -> usize {
         self.writer.shards()
     }

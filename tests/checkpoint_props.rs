@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use robust_distinct_sampling::core::{
-    Checkpointable, DistinctSampler, JlRobustSampler, KDistinctSampler, KWithReplacementSampler,
+    Checkpointable, DistinctSampler, JlRobustSampler, KWithReplacementSampler,
     MetricRobustSampler, RdsError, RobustL0Sampler, SamplerConfig, SimHashPartitioner,
     SlidingWindowSampler,
 };
@@ -131,23 +131,6 @@ proptest! {
         let split = items.len() * split_pct / 100;
         assert_family_round_trips(
             FixedRateWindowSampler::new(cfg(seed, n), Window::Sequence(w), level),
-            &items,
-            split,
-        );
-    }
-
-    #[test]
-    fn k_distinct_family_round_trips(
-        seed in 0u64..1000,
-        n in 50u64..300,
-        n_entities in 2u64..60,
-        split_pct in 1usize..99,
-        k in 1usize..6,
-    ) {
-        let items = stream(n, n_entities);
-        let split = items.len() * split_pct / 100;
-        assert_family_round_trips(
-            KDistinctSampler::try_new(cfg(seed, n), k).unwrap(),
             &items,
             split,
         );

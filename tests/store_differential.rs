@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rds_core::{
-    Checkpointable, DistinctSampler, KDistinctSampler, ProcessOutcome, RobustF0Estimator,
+    Checkpointable, DistinctSampler, ProcessOutcome, RobustF0Estimator,
     RobustL0Sampler, SamplerConfig, SamplerContext, SlidingWindowSampler, MAX_LEVEL,
 };
 use rds_geometry::Point;
@@ -341,12 +341,6 @@ fn all_families_batch_equals_per_point() {
         RobustL0Sampler::try_new(cfg.clone()).unwrap(),
         &items,
         "RobustL0Sampler",
-    );
-    check(
-        KDistinctSampler::try_new(cfg.clone(), 3).unwrap(),
-        KDistinctSampler::try_new(cfg.clone(), 3).unwrap(),
-        &items,
-        "KDistinctSampler",
     );
     // RobustF0Estimator is not a DistinctSampler; its inherent batch API
     // runs over bare points. (KWithReplacementSampler has no batch path

@@ -11,7 +11,7 @@
 //!   `f0_estimate() == 0`, and `query_k(0)` is always empty.
 
 use rds_core::{
-    DistinctSampler, FixedRateWindowSampler, JlRobustSampler, KDistinctSampler,
+    DistinctSampler, FixedRateWindowSampler, JlRobustSampler,
     MetricRobustSampler, RobustL0Sampler, SamplerConfig, SamplerSummary, SimHashPartitioner,
     SlidingWindowSampler,
 };
@@ -192,18 +192,6 @@ fn fixed_rate_window_sampler_conforms() {
     check_family(
         "FixedRateWindowSampler",
         || FixedRateWindowSampler::new(cfg(4), Window::Sequence(1 << 20), 0),
-        &stream,
-        N_GROUPS as f64,
-        0.0,
-    );
-}
-
-#[test]
-fn k_distinct_sampler_conforms() {
-    let stream = euclidean_stream(4, 4);
-    check_family(
-        "KDistinctSampler",
-        || KDistinctSampler::try_new(cfg(4), 3).unwrap(),
         &stream,
         N_GROUPS as f64,
         0.0,
