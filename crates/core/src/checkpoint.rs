@@ -77,10 +77,11 @@ pub trait Checkpointable: Sized {
     fn try_from_state(state: Self::State) -> Result<Self, RdsError>;
 
     /// The [`SamplerConfig`] embedded in a captured state, when the
-    /// family has one (the metric family is configured by a partitioner
-    /// and a seed instead and returns `None`). Aggregators restoring
-    /// many states — the sharded engine — use this to verify every state
-    /// matches the shared configuration before spawning workers on it.
+    /// family has a single one (`KWithReplacementSampler` keeps one per
+    /// copy, each with its own derived seed, and returns `None`).
+    /// Aggregators restoring many states — the sharded engine — use this
+    /// to verify every state matches the shared configuration before
+    /// spawning workers on it.
     fn state_config(state: &Self::State) -> Option<&SamplerConfig> {
         let _ = state;
         None

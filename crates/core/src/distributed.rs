@@ -293,15 +293,16 @@ fn absorb_record(
 /// use rds_core::{DistributedSampling, SamplerConfig};
 /// use rds_geometry::Point;
 ///
-/// let dist = DistributedSampling::new(SamplerConfig::builder(1, 0.5).seed(9).build().unwrap());
-/// let mut a = dist.new_site();
-/// let mut b = dist.new_site();
+/// let dist = DistributedSampling::new(SamplerConfig::builder(1, 0.5).seed(9).build()?);
+/// let mut a = dist.new_site()?;
+/// let mut b = dist.new_site()?;
 /// a.process(&Point::new(vec![0.0]));
 /// b.process(&Point::new(vec![50.0]));
 /// let merged = dist.merge([&a, &b]).expect("same config");
 /// // summaries are immutable: the draw token supplies the randomness
 /// assert!(merged.query(1).is_some());
 /// assert_eq!(merged.f0_estimate(), 2.0);
+/// # Ok::<(), rds_core::RdsError>(())
 /// ```
 #[derive(Clone, Debug)]
 pub struct DistributedSampling {
@@ -318,10 +319,13 @@ impl DistributedSampling {
     }
 
     /// Creates a site-local sampler (identical grid/hash across sites).
-    pub fn new_site(&self) -> RobustL0Sampler {
-        // lint:allow(L1) the stored config came from the validating
-        // builder and its fields are not mutable from outside the crate
-        RobustL0Sampler::try_new(self.cfg.clone()).unwrap()
+    ///
+    /// # Errors
+    ///
+    /// The configuration's validation error: [`SamplerConfig`]'s fields
+    /// are public, so a struct literal can bypass the builder.
+    pub fn new_site(&self) -> Result<RobustL0Sampler, RdsError> {
+        RobustL0Sampler::try_new(self.cfg.clone())
     }
 
     /// Snapshots a site sampler's state for shipping to the coordinator
@@ -388,8 +392,8 @@ mod tests {
         let dist = DistributedSampling::new(
             SamplerConfig::builder(1, 0.5).seed(1).expected_len(200).build().unwrap(),
         );
-        let mut a = dist.new_site();
-        let mut b = dist.new_site();
+        let mut a = dist.new_site().unwrap();
+        let mut b = dist.new_site().unwrap();
         for i in 0..100u64 {
             a.process(&grouped_point(i, 10)); // groups 0..10
             b.process(&grouped_point(i, 20)); // groups 0..20 (overlap!)
@@ -402,12 +406,23 @@ mod tests {
     }
 
     #[test]
+    fn new_site_reports_an_invalid_config_instead_of_panicking() {
+        // the fields are public, so a struct literal skips the builder
+        let valid = SamplerConfig::builder(1, 0.5).build().unwrap();
+        let dist = DistributedSampling::new(SamplerConfig {
+            alpha: -1.0,
+            ..valid
+        });
+        assert!(matches!(dist.new_site(), Err(RdsError::InvalidAlpha { .. })));
+    }
+
+    #[test]
     fn cross_site_groups_are_deduplicated() {
         let dist = DistributedSampling::new(
             SamplerConfig::builder(1, 0.5).seed(2).expected_len(64).build().unwrap(),
         );
-        let mut a = dist.new_site();
-        let mut b = dist.new_site();
+        let mut a = dist.new_site().unwrap();
+        let mut b = dist.new_site().unwrap();
         // the same single group observed at both sites
         for i in 0..32u64 {
             a.process(&Point::new(vec![0.01 * (i % 3) as f64]));
@@ -426,8 +441,8 @@ mod tests {
                 .expected_len(4096)
                 .kappa0(0.5).build().unwrap(),
         );
-        let mut a = dist.new_site();
-        let mut b = dist.new_site();
+        let mut a = dist.new_site().unwrap();
+        let mut b = dist.new_site().unwrap();
         // site a sees many groups (forces doublings); b sees few
         for i in 0..2000u64 {
             a.process(&grouped_point(i, 512));
@@ -449,8 +464,8 @@ mod tests {
         let dist = DistributedSampling::new(
             SamplerConfig::builder(1, 0.5).seed(4).expected_len(16).build().unwrap(),
         );
-        let a = dist.new_site();
-        let mut b = dist.new_site();
+        let a = dist.new_site().unwrap();
+        let mut b = dist.new_site().unwrap();
         b.process(&Point::new(vec![5.0]));
         let merged = dist.merge([&a, &b]).expect("same cfg");
         assert_eq!(merged.query(1), Some(Point::new(vec![5.0])));
@@ -461,7 +476,7 @@ mod tests {
         let dist = DistributedSampling::new(
             SamplerConfig::builder(1, 0.5).seed(31).expected_len(128).build().unwrap(),
         );
-        let mut site = dist.new_site();
+        let mut site = dist.new_site().unwrap();
         for i in 0..64u64 {
             site.process(&grouped_point(i, 16));
         }
@@ -482,8 +497,8 @@ mod tests {
         let dist = DistributedSampling::new(
             SamplerConfig::builder(1, 0.5).seed(32).expected_len(256).build().unwrap(),
         );
-        let mut a = dist.new_site();
-        let mut b = dist.new_site();
+        let mut a = dist.new_site().unwrap();
+        let mut b = dist.new_site().unwrap();
         for i in 0..128u64 {
             a.process(&grouped_point(i, 8));
             b.process(&grouped_point(i, 16));
@@ -515,7 +530,7 @@ mod tests {
         use crate::sampler::DistinctSampler;
         let cfg = SamplerConfig::builder(1, 0.5).seed(41).expected_len(512).build().unwrap();
         let dist = DistributedSampling::new(cfg.clone());
-        let mut sites: Vec<RobustL0Sampler> = (0..3).map(|_| dist.new_site()).collect();
+        let mut sites: Vec<RobustL0Sampler> = (0..3).map(|_| dist.new_site().unwrap()).collect();
         for i in 0..300u64 {
             sites[(i % 3) as usize].process(&grouped_point(i, 30));
         }
@@ -552,8 +567,8 @@ mod tests {
                     .expected_len(256)
                     .kappa0(1.0).build().unwrap(),
             );
-            let mut a = dist.new_site();
-            let mut b = dist.new_site();
+            let mut a = dist.new_site().unwrap();
+            let mut b = dist.new_site().unwrap();
             for i in 0..128u64 {
                 a.process(&grouped_point(i, 8)); // groups 0..8
                 b.process(&Point::new(vec![(8 + (i % 8)) as f64 * 10.0])); // groups 8..16
@@ -580,7 +595,7 @@ mod serde_tests {
         let dist = DistributedSampling::new(
             SamplerConfig::builder(2, 0.5).seed(21).expected_len(64).build().unwrap(),
         );
-        let mut site = dist.new_site();
+        let mut site = dist.new_site().unwrap();
         for i in 0..40u64 {
             site.process(&Point::new(vec![(i % 8) as f64 * 10.0, 0.0]));
         }
@@ -601,8 +616,8 @@ mod serde_tests {
         let dist = DistributedSampling::new(
             SamplerConfig::builder(1, 0.5).seed(22).expected_len(64).build().unwrap(),
         );
-        let mut a = dist.new_site();
-        let mut b = dist.new_site();
+        let mut a = dist.new_site().unwrap();
+        let mut b = dist.new_site().unwrap();
         for i in 0..20u64 {
             a.process(&Point::new(vec![(i % 4) as f64 * 10.0]));
             b.process(&Point::new(vec![(4 + i % 4) as f64 * 10.0]));
@@ -623,8 +638,8 @@ mod serde_tests {
         let dist = DistributedSampling::new(
             SamplerConfig::builder(1, 0.5).seed(25).expected_len(128).build().unwrap(),
         );
-        let mut a = dist.new_site();
-        let mut b = dist.new_site();
+        let mut a = dist.new_site().unwrap();
+        let mut b = dist.new_site().unwrap();
         for i in 0..64u64 {
             a.process(&Point::new(vec![(i % 6) as f64 * 10.0]));
             b.process(&Point::new(vec![(6 + i % 6) as f64 * 10.0]));
@@ -643,7 +658,7 @@ mod serde_tests {
         }
         assert!(back.query(1).is_some());
         // still mergeable after the wire
-        let mut c = dist.new_site();
+        let mut c = dist.new_site().unwrap();
         c.process(&Point::new(vec![500.0]));
         let other = dist.merge([&c]).expect("same cfg");
         let combined = back.merge(other).expect("same cfg");

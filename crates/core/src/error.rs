@@ -59,17 +59,6 @@ pub enum RdsError {
         /// The offending frequency threshold.
         phi: f64,
     },
-    /// SimHash group threshold outside `(0, pi/8)`.
-    InvalidTheta {
-        /// The offending angular threshold (radians).
-        theta: f64,
-    },
-    /// SimHash hyperplane count outside `1..=24` (more bits would make
-    /// the adjacency enumeration explode in the worst case).
-    InvalidBits {
-        /// The offending hyperplane count.
-        n_bits: usize,
-    },
     /// Johnson–Lindenstrauss distortion outside the open interval
     /// `(0, 1)`.
     InvalidDistortion {
@@ -151,12 +140,6 @@ impl fmt::Display for RdsError {
             RdsError::InvalidPhi { phi } => {
                 write!(f, "phi must be in (0, 1] (got {phi})")
             }
-            RdsError::InvalidTheta { theta } => {
-                write!(f, "theta must be in (0, pi/8) (got {theta})")
-            }
-            RdsError::InvalidBits { n_bits } => {
-                write!(f, "n_bits must be in 1..=24 (got {n_bits})")
-            }
             RdsError::InvalidDistortion { eps } => {
                 write!(f, "JL distortion eps must be in (0, 1) (got {eps})")
             }
@@ -223,12 +206,6 @@ mod tests {
         assert!(RdsError::InvalidPhi { phi: 0.0 }
             .to_string()
             .contains("phi must be in (0, 1]"));
-        assert!(RdsError::InvalidTheta { theta: 1.0 }
-            .to_string()
-            .contains("theta must be in (0, pi/8)"));
-        assert!(RdsError::InvalidBits { n_bits: 30 }
-            .to_string()
-            .contains("n_bits must be in 1..=24"));
     }
 
     #[test]

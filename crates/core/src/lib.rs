@@ -17,7 +17,6 @@ mod sw_fixed;
 mod f0;
 mod jl_adapter;
 mod ksample;
-mod lsh;
 pub mod persist;
 mod sw_hier;
 
@@ -35,8 +34,4 @@ pub use sw_fixed::{
 pub use f0::{RobustF0Estimator, SlidingWindowF0, DEFAULT_KAPPA_B, FM_PHI};
 pub use jl_adapter::{JlRobustSampler, JlSamplerState, JlSummary};
 pub use ksample::{KWithReplacementSampler, KWithReplacementState};
-pub use lsh::{
-    LshPartitioner, MetricGroup, MetricRobustSampler, MetricSamplerState, MetricSummary,
-    SimHashPartitioner,
-};
 pub use sw_hier::{GroupSample, SlidingWindowSampler, SlidingWindowState};

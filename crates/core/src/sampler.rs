@@ -1,6 +1,6 @@
-//! The unified sampler API: every sampler family in this crate — infinite
-//! window, sliding window (hierarchical and fixed-rate), metric/LSH,
-//! JL-projected, `k`-sampling — implements [`DistinctSampler`], so callers
+//! The unified sampler API: every query family in this crate — infinite
+//! window, sliding window (hierarchical and fixed-rate), JL-projected —
+//! implements [`DistinctSampler`], so callers
 //! (the sharded engine, the umbrella facade, the CLI) can be written once,
 //! window-agnostically.
 //!
@@ -85,7 +85,8 @@ pub trait SamplerSummary: Sized {
     fn query_k(&self, k: usize, draw: u64) -> Vec<GroupRecord>;
 }
 
-/// The unified streaming interface of all six sampler families.
+/// The unified streaming interface of the four query families: infinite
+/// window, hierarchical and fixed-rate sliding window, JL-projected.
 ///
 /// Implementations accept [`StreamItem`]s; infinite-window samplers ignore
 /// the stamp, window samplers use it for expiry. Query methods return

@@ -103,7 +103,6 @@ const LOCK_FREE_READ_TYPES: &[&str] = &[
     "Snapshot",
     "MergedSummary",
     "WindowSummary",
-    "MetricSummary",
     "JlSummary",
     "SiteSummary",
 ];
@@ -1204,5 +1203,36 @@ fn rule_l7(ctx: &mut Ctx<'_>) {
                 ),
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{lex, TokenKind, LOCK_FREE_READ_TYPES};
+    use crate::workspace::{find_root, source_files};
+    use std::collections::BTreeSet;
+    use std::path::Path;
+
+    /// A deleted type must leave L6's list with it: a stale name would
+    /// silently guard nothing.
+    #[test]
+    fn every_lock_free_read_type_is_a_workspace_struct() {
+        let root = find_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
+        let mut structs = BTreeSet::new();
+        for (_, abs) in source_files(&root) {
+            let src = std::fs::read_to_string(&abs).expect("readable source");
+            let toks = lex(&src).tokens;
+            for pair in toks.windows(2) {
+                if pair[0].is_ident("struct") && pair[1].kind == TokenKind::Ident {
+                    structs.insert(pair[1].text.clone());
+                }
+            }
+        }
+        let stale: Vec<&str> = LOCK_FREE_READ_TYPES
+            .iter()
+            .copied()
+            .filter(|name| !structs.contains(*name))
+            .collect();
+        assert!(stale.is_empty(), "L6 guards types no workspace struct defines: {stale:?}");
     }
 }

@@ -238,8 +238,6 @@ pub fn error_code(err: &RdsError) -> &'static str {
         RdsError::InvalidCopies => "invalid_copies",
         RdsError::InvalidKappaB { .. } => "invalid_kappa_b",
         RdsError::InvalidPhi { .. } => "invalid_phi",
-        RdsError::InvalidTheta { .. } => "invalid_theta",
-        RdsError::InvalidBits { .. } => "invalid_bits",
         RdsError::InvalidDistortion { .. } => "invalid_distortion",
         RdsError::UnboundedWindow => "unbounded_window",
         RdsError::EmptyWindow => "empty_window",

@@ -17,8 +17,9 @@
 //! [`WriterCheckpoint`](robust_distinct_sampling::WriterCheckpoint); the
 //! generic [`seal_state`]/[`open_state`] pair below wraps *any*
 //! [`Checkpointable`] sampler state in the same container discipline, so
-//! the eviction-invisibility property tests can drive every sampler
-//! family — not just the two the facade hosts.
+//! the eviction-invisibility property tests can drive all five sampler
+//! families (the four `DistinctSampler` families and
+//! `KWithReplacementSampler`) — not just the two the facade hosts.
 
 use rds_core::{Checkpointable, RdsError};
 use robust_distinct_sampling::{fnv1a64, CHECKPOINT_FORMAT_VERSION, CHECKPOINT_MAGIC};

@@ -15,8 +15,8 @@
 //! * "how many distinct entities are there?" — [`core::RobustF0Estimator`]
 //!   and [`core::SlidingWindowF0`];
 //! * "which entities dominate the stream?" — [`core::RobustHeavyHitters`];
-//! * distributed unions ([`core::DistributedSampling`]), `k`-sampling,
-//!   high-dimensional and angular-metric variants.
+//! * distributed unions ([`core::DistributedSampling`]), `k`-sampling
+//!   and a high-dimensional (JL-projected) variant.
 //!
 //! This umbrella crate re-exports the workspace members and provides the
 //! [`Rds`] facade — one window-agnostic, shard-agnostic handle over every

@@ -8,9 +8,8 @@
 
 use proptest::prelude::*;
 use robust_distinct_sampling::core::{
-    Checkpointable, DistinctSampler, JlRobustSampler, KWithReplacementSampler,
-    MetricRobustSampler, RdsError, RobustL0Sampler, SamplerConfig, SimHashPartitioner,
-    SlidingWindowSampler,
+    Checkpointable, DistinctSampler, JlRobustSampler, KWithReplacementSampler, RdsError,
+    RobustL0Sampler, SamplerConfig, SlidingWindowSampler,
 };
 use robust_distinct_sampling::core::FixedRateWindowSampler;
 use robust_distinct_sampling::{PublishCadence, Rds, WriterCheckpoint};
@@ -131,33 +130,6 @@ proptest! {
         let split = items.len() * split_pct / 100;
         assert_family_round_trips(
             FixedRateWindowSampler::new(cfg(seed, n), Window::Sequence(w), level),
-            &items,
-            split,
-        );
-    }
-
-    #[test]
-    fn metric_family_round_trips(
-        seed in 0u64..1000,
-        n in 40u64..200,
-        n_entities in 2u64..20,
-        split_pct in 1usize..99,
-    ) {
-        // unit vectors clustered by entity: the angular-metric workload
-        let dim = 8usize;
-        let items: Vec<StreamItem> = (0..n)
-            .map(|i| {
-                let e = (i % n_entities) as usize;
-                let mut v = vec![0.05; dim];
-                v[e % dim] = 10.0 + (e / dim) as f64 * 5.0;
-                v[(e + 1) % dim] += 0.001 * ((i / 7) % 3) as f64;
-                StreamItem::new(Point::new(v), Stamp::at(i))
-            })
-            .collect();
-        let split = items.len() * split_pct / 100;
-        let part = SimHashPartitioner::try_new(dim, 10, 0.05, seed ^ 0xA5).unwrap();
-        assert_family_round_trips(
-            MetricRobustSampler::try_new(part, 16, seed).unwrap(),
             &items,
             split,
         );

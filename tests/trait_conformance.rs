@@ -1,6 +1,6 @@
 //! Trait-conformance suite: one parameterized harness runs the same
-//! stream through every [`DistinctSampler`] implementation — the six
-//! sampler families — and checks the shared contract:
+//! stream through every [`DistinctSampler`] implementation — the four
+//! query families — and checks the shared contract:
 //!
 //! * `f0_estimate` agrees with the ground truth within a per-family
 //!   tolerance (exactly, for the generous-threshold configurations here);
@@ -11,11 +11,10 @@
 //!   `f0_estimate() == 0`, and `query_k(0)` is always empty.
 
 use rds_core::{
-    DistinctSampler, FixedRateWindowSampler, JlRobustSampler,
-    MetricRobustSampler, RobustL0Sampler, SamplerConfig, SamplerSummary, SimHashPartitioner,
-    SlidingWindowSampler,
+    DistinctSampler, FixedRateWindowSampler, JlRobustSampler, RobustL0Sampler, SamplerConfig,
+    SamplerSummary, SlidingWindowSampler,
 };
-use rds_geometry::{standard_normal, Point};
+use rds_geometry::Point;
 use rds_stream::{Stamp, StreamItem, Window};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -37,34 +36,6 @@ fn euclidean_stream(dim: usize, seed: u64) -> Vec<StreamItem> {
             }
             let seq = (j * N_GROUPS + g) as u64;
             items.push(StreamItem::new(Point::new(coords), Stamp::at(seq)));
-        }
-    }
-    items
-}
-
-/// Groups of near-identical directions for the angular metric.
-fn angular_stream(dim: usize, seed: u64) -> Vec<StreamItem> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let centers: Vec<Point> = (0..N_GROUPS)
-        .map(|_| {
-            let v = Point::new((0..dim).map(|_| standard_normal(&mut rng)).collect());
-            v.scale(1.0 / v.norm())
-        })
-        .collect();
-    let mut items = Vec::new();
-    for j in 0..PER_GROUP {
-        for (g, c) in centers.iter().enumerate() {
-            let noise = Point::new(
-                (0..dim)
-                    .map(|_| standard_normal(&mut rng) * 0.002)
-                    .collect(),
-            );
-            let v = c.add(&noise);
-            let seq = (j * N_GROUPS + g) as u64;
-            items.push(StreamItem::new(
-                v.scale(1.0 / v.norm()),
-                Stamp::at(seq),
-            ));
         }
     }
     items
@@ -205,25 +176,6 @@ fn jl_robust_sampler_conforms() {
     check_family(
         "JlRobustSampler",
         || JlRobustSampler::try_new(dim, 0.5, 0.5, cfg(dim)).unwrap(),
-        &stream,
-        N_GROUPS as f64,
-        0.0,
-    );
-}
-
-#[test]
-fn metric_robust_sampler_conforms() {
-    let dim = 24;
-    let stream = angular_stream(dim, 6);
-    check_family(
-        "MetricRobustSampler",
-        || {
-            MetricRobustSampler::try_new(
-                SimHashPartitioner::try_new(dim, 12, 0.05, 7).unwrap(),
-                64, // threshold >> 12 groups: exact counting
-                9,
-            ).unwrap()
-        },
         &stream,
         N_GROUPS as f64,
         0.0,
