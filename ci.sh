@@ -28,6 +28,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
 echo "==> benches compile"
 cargo bench -p rds-bench --no-run
 
+echo "==> benchmark harness builds and tests against this tree (perfbench/harness)"
+# The harness calls library functions directly (SamplerContext::
+# any_adjacent_sampled, CellHasher::hash_keys_slice, the adjacency fold
+# DFS, CandidateStore::probe_best/scan_best); an API change that breaks
+# the benchmark fails here.
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline \
+    --manifest-path perfbench/harness/Cargo.toml
+
 echo "==> sharded-engine throughput smoke bench (emits BENCH_engine.json)"
 RDS_BENCH_FAST=1 RDS_BENCH_OUT="$PWD/BENCH_engine.json" \
     cargo bench -p rds-bench --bench engine

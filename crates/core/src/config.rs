@@ -3,8 +3,8 @@
 use crate::error::RdsError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rds_geometry::{for_each_adjacent_cell_fold, Grid, Point};
-use rds_hashing::{level_sampled, CellHasher, CellKeyMixer, KWiseHash};
+use rds_geometry::{for_each_adjacent_cell_fold_with, AdjacencyScratch, Grid, Point};
+use rds_hashing::{level_sampled, CellHasher, CellKeyMixer, KWiseHash, LANES};
 use serde::{Deserialize, Serialize};
 
 /// Hard cap on the rate exponent `log2 R` shared by every sampler family.
@@ -290,20 +290,48 @@ impl SamplerContext {
     }
 
     /// Whether some cell of `adj(p)` is sampled at rate `2^-level`
-    /// (the `∃ C ∈ adj(p): h_R(C) = 0` test of Algorithms 1 and 2),
-    /// using the early-exiting `SearchAdj` DFS. The cell keys are folded
-    /// incrementally along the DFS, so shared coordinate prefixes are
-    /// mixed once instead of once per enumerated cell; the result is
-    /// bit-identical to keying each cell from scratch.
+    /// (the `∃ C ∈ adj(p): h_R(C) = 0` test of Algorithms 1 and 2).
+    ///
+    /// A thin delegate to [`Self::any_adjacent_sampled_with`] with fresh
+    /// scratch buffers; callers on a per-point path hold an
+    /// [`AdjacencyScratch`] and call that directly.
     pub fn any_adjacent_sampled(&self, p: &Point, level: u32) -> bool {
-        for_each_adjacent_cell_fold(
+        self.any_adjacent_sampled_with(p, level, &mut AdjacencyScratch::new())
+    }
+
+    /// [`Self::any_adjacent_sampled`] on the caller's DFS scratch. The
+    /// `SearchAdj` DFS folds each cell's key along the way (shared
+    /// coordinate prefixes are mixed once), the keys are hashed
+    /// [`LANES`] at a time in one coefficient-major sweep
+    /// ([`CellHasher::any_key_sampled`]), and the DFS stops after the
+    /// first chunk holding a sampled cell. The answer is the same bool as
+    /// hashing every cell of `adj(p)` one by one.
+    pub fn any_adjacent_sampled_with(
+        &self,
+        p: &Point,
+        level: u32,
+        scratch: &mut AdjacencyScratch,
+    ) -> bool {
+        let mut chunk = [0u64; LANES];
+        let mut filled = 0usize;
+        let found = for_each_adjacent_cell_fold_with(
             &self.grid,
             p,
             self.cfg.alpha,
             self.hasher.mixer().fold_init(self.cfg.dim),
             CellKeyMixer::fold_step,
-            |_cell, key| self.hasher.key_sampled(key, level),
-        )
+            |_cell, key| {
+                chunk[filled] = key;
+                filled += 1;
+                if filled < LANES {
+                    return false;
+                }
+                filled = 0;
+                self.hasher.any_key_sampled(&chunk, level)
+            },
+            scratch,
+        );
+        found || self.hasher.any_key_sampled(&chunk[..filled], level)
     }
 
     /// Words of memory attributable to the context (grid offset + hash
@@ -384,6 +412,63 @@ mod tests {
                 if ctx.any_adjacent_sampled(&p, level) {
                     assert!(ctx.any_adjacent_sampled(&p, level - 1));
                 }
+            }
+        }
+    }
+
+    /// The serial reference for the `adj(p)` sampling test: each cell of
+    /// `adj(p)` keyed from its coordinates and hashed on its own.
+    fn serial_adjacent_sampled(ctx: &SamplerContext, p: &Point, level: u32) -> bool {
+        rds_geometry::for_each_adjacent_cell(ctx.grid(), p, ctx.alpha(), |cell| {
+            ctx.hasher().sampled(cell, level)
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn lane_adjacency_test_equals_the_serial_reference(
+            seed in 0u64..1 << 32,
+            dim in 1usize..7,
+            level in 0u32..21,
+        ) {
+            use rand::RngExt;
+            let ctx = SamplerContext::new(SamplerConfig::builder(dim, 1.0).seed(seed).build().unwrap());
+            let (grid, side) = (ctx.grid(), ctx.grid().side());
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xAD1A);
+            let mut scratch = AdjacencyScratch::new();
+            let mut over_budget = 0;
+            for i in 0..24 {
+                // every other point sits at a cell centre, where adj(p)
+                // is largest (211 cells in 5-D, 473 in 6-D)
+                let coords = (0..dim)
+                    .map(|d| {
+                        let x: f64 = rng.random_range(-50.0..50.0);
+                        if i % 2 == 0 {
+                            x
+                        } else {
+                            grid.offset()[d] + ((x / side).floor() + 0.5) * side
+                        }
+                    })
+                    .collect();
+                let p = Point::new(coords);
+                let want = serial_adjacent_sampled(&ctx, &p, level);
+                proptest::prop_assert_eq!(
+                    ctx.any_adjacent_sampled_with(&p, level, &mut scratch),
+                    want,
+                    "dim {} level {} point {:?}", dim, level, p
+                );
+                proptest::prop_assert_eq!(ctx.any_adjacent_sampled(&p, level), want);
+                let mut cells = 0usize;
+                rds_geometry::for_each_adjacent_cell(grid, &p, ctx.alpha(), |_| {
+                    cells += 1;
+                    false
+                });
+                over_budget += usize::from(cells > 64);
+            }
+            if dim >= 5 {
+                proptest::prop_assert!(over_budget > 0, "no point past the 64-cell probe budget");
             }
         }
     }

@@ -33,7 +33,7 @@ use crate::infinite::{GroupRecord, RobustL0Sampler};
 use crate::sampler::{derived_rng, SamplerSummary};
 use rand::rngs::StdRng;
 use rand::seq::{IndexedRandom, SliceRandom};
-use rds_geometry::Point;
+use rds_geometry::{AdjacencyScratch, Point};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -215,22 +215,13 @@ impl SamplerSummary for MergedSummary {
         if summaries.len() == 1 {
             return Ok(summaries.into_iter().next());
         }
-        let cfg = first_cfg;
-        let ctx = SamplerContext::new(cfg.clone());
         let level = summaries.iter().map(|s| s.level).max().unwrap_or(0);
-        let alpha = cfg.alpha;
-        let mut acc: Vec<GroupRecord> = Vec::new();
-        let mut rej: Vec<GroupRecord> = Vec::new();
-        for summary in &summaries {
-            for rec in summary.acc.iter() {
-                let sampled = rds_hashing::level_sampled(rec.cell_hash, level);
-                absorb_record(rec, sampled, level, alpha, &mut acc, &mut rej, &ctx);
-            }
-            for rec in summary.rej.iter() {
-                absorb_record(rec, false, level, alpha, &mut acc, &mut rej, &ctx);
-            }
-        }
-        Ok(Some(MergedSummary::from_parts(cfg, level, acc, rej)))
+        let (acc, rej) = merge_sets(
+            &SamplerContext::new(first_cfg.clone()),
+            level,
+            summaries.iter().map(|s| (&s.acc[..], &s.rej[..])),
+        );
+        Ok(Some(MergedSummary::from_parts(first_cfg, level, acc, rej)))
     }
 
     fn f0_estimate(&self) -> f64 {
@@ -246,6 +237,32 @@ impl SamplerSummary for MergedSummary {
     }
 }
 
+/// Unifies per-site candidate sets `(acc, rej)` at rate `2^-level`:
+/// every record is refiltered with the shared hash (Fact 1b: only
+/// removals) and deduplicated against the records already merged.
+fn merge_sets<'a, I>(
+    ctx: &SamplerContext,
+    level: u32,
+    sites: I,
+) -> (Vec<GroupRecord>, Vec<GroupRecord>)
+where
+    I: IntoIterator<Item = (&'a [GroupRecord], &'a [GroupRecord])>,
+{
+    let mut scratch = AdjacencyScratch::new();
+    let mut acc: Vec<GroupRecord> = Vec::new();
+    let mut rej: Vec<GroupRecord> = Vec::new();
+    for (site_acc, site_rej) in sites {
+        for rec in site_acc {
+            let sampled = rds_hashing::level_sampled(rec.cell_hash, level);
+            absorb_record(rec, sampled, level, &mut acc, &mut rej, ctx, &mut scratch);
+        }
+        for rec in site_rej {
+            absorb_record(rec, false, level, &mut acc, &mut rej, ctx, &mut scratch);
+        }
+    }
+    (acc, rej)
+}
+
 /// Places one record into the merged accept/reject sets, combining it
 /// with an existing record of the same group if the group was observed
 /// by several sites/shards.
@@ -253,11 +270,12 @@ fn absorb_record(
     rec: &GroupRecord,
     own_cell_sampled: bool,
     level: u32,
-    alpha: f64,
     acc: &mut Vec<GroupRecord>,
     rej: &mut Vec<GroupRecord>,
     ctx: &SamplerContext,
+    scratch: &mut AdjacencyScratch,
 ) {
+    let alpha = ctx.alpha();
     // cross-site duplicate? combine counts into the existing record
     if let Some(existing) = acc.iter_mut().find(|g| g.rep.within(&rec.rep, alpha)) {
         existing.count += rec.count;
@@ -278,7 +296,7 @@ fn absorb_record(
     // fresh group at the coordinator
     if own_cell_sampled {
         acc.push(rec.clone());
-    } else if ctx.any_adjacent_sampled(&rec.rep, level) {
+    } else if ctx.any_adjacent_sampled_with(&rec.rep, level, scratch) {
         rej.push(rec.clone());
     }
     // else: not a candidate at the common rate; dropped
@@ -355,24 +373,13 @@ impl DistributedSampling {
         }
         // The coordinator rebuilds the shared context from the seed; it
         // is identical to every site's (same deterministic construction).
-        let ctx = SamplerContext::new(self.cfg.clone());
         // Unify at the coarsest rate present among the sites.
         let level = summaries.iter().map(|s| s.level).max().unwrap_or(0);
-        let mut acc: Vec<GroupRecord> = Vec::new();
-        let mut rej: Vec<GroupRecord> = Vec::new();
-        let alpha = self.cfg.alpha;
-
-        // Refilter every site record at the common rate (Fact 1b: only
-        // removals), then deduplicate across sites by group membership.
-        for site in summaries {
-            for rec in &site.acc {
-                let sampled = rds_hashing::level_sampled(rec.cell_hash, level);
-                absorb_record(rec, sampled, level, alpha, &mut acc, &mut rej, &ctx);
-            }
-            for rec in &site.rej {
-                absorb_record(rec, false, level, alpha, &mut acc, &mut rej, &ctx);
-            }
-        }
+        let (acc, rej) = merge_sets(
+            &SamplerContext::new(self.cfg.clone()),
+            level,
+            summaries.iter().map(|s| (&s.acc[..], &s.rej[..])),
+        );
         Some(MergedSummary::from_parts(self.cfg.clone(), level, acc, rej))
     }
 }

@@ -13,10 +13,11 @@
 //! Both sets live in one cell-indexed [`CandidateStore`] (struct-of-arrays
 //! columns plus an open-addressing table keyed by `cell(rep)`), so the
 //! per-arrival membership test probes only the buckets of the grid cells
-//! within `alpha` of the point — enumerated by the same pruned DFS that
-//! drives the `adj(p)` sampling test — instead of scanning every stored
-//! record. Batches additionally evaluate the k-wise cell hash level in
-//! one coefficient-major pass over all arrivals. Every decision, every
+//! within `alpha` of the point — enumerated by one pruned DFS whose
+//! visited cell keys then answer the `adj(p)` sampling test in
+//! lane-parallel hash sweeps — instead of scanning every stored record.
+//! Batches additionally evaluate the k-wise cell hash level in one
+//! coefficient-major pass over all arrivals. Every decision, every
 //! PRNG draw, and the serialized state are bit-identical to the original
 //! linear-scan bookkeeping.
 
@@ -34,6 +35,10 @@ use rds_hashing::CellKeyMixer;
 use rds_metrics::SpaceMeter;
 use rds_stream::StreamItem;
 use serde::{Deserialize, Serialize};
+
+/// Cells the arrival probe visits before it gives up on the cell index
+/// and scans the candidate chains instead (`|adj(p)|` grows as `3^d`).
+const PROBE_CELL_BUDGET: usize = 64;
 
 /// Everything the sampler stores about one candidate group.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -140,6 +145,15 @@ pub struct RobustL0Sampler {
     /// Arrival-path scratch for the adjacent-cell DFS (cell coordinates
     /// and per-dimension bounds), reused across points.
     adj_scratch: AdjacencyScratch,
+    /// Arrival-path scratch: the folded keys of the cells the probe DFS
+    /// visited for the current point (at most [`PROBE_CELL_BUDGET`]),
+    /// `cell(p)` first; Line 8 hashes them instead of walking again.
+    adj_keys: Vec<u64>,
+    /// Whether the next batch precomputes its own-cell hashes: set after
+    /// every batch from that batch's share of duplicates (see
+    /// [`Self::process_batch_keyed`]). Either setting leaves the same
+    /// state, so this is a speed hint, not checkpointed state.
+    prehash: bool,
     /// Batch-path scratch: the mixer keys of one batch's cells.
     batch_keys: Vec<u64>,
     /// Batch-path scratch: the k-wise hashes of `batch_keys`.
@@ -191,6 +205,8 @@ impl RobustL0Sampler {
             rate_doublings: 0,
             scratch: Vec::new(),
             adj_scratch: AdjacencyScratch::new(),
+            adj_keys: Vec::new(),
+            prehash: true,
             batch_keys: Vec::new(),
             batch_hashes: Vec::new(),
             rng,
@@ -217,24 +233,26 @@ impl RobustL0Sampler {
         self.process_batch_keyed(points.iter())
     }
 
-    /// The shared batch path. While the stream has been mostly distinct so
-    /// far (at least half of the seen points started new groups), pass 1
-    /// folds every point's cell into its mixer key, pass 2 hashes all keys
-    /// in one batched Horner sweep (bit-identical to hashing them one by
-    /// one), pass 3 replays the sequential arrival loop with the
-    /// precomputed `(key, hash)` pairs. Once duplicates dominate, most
-    /// precomputed hashes would go unused (a duplicate never consumes its
-    /// hash), so the batch falls back to the per-point path, which hashes
-    /// lazily on a duplicate-probe miss. The precomputation is pure — no
-    /// RNG draw, no stored state — so the arrival decisions are exactly
-    /// those of per-point processing either way.
+    /// The shared batch path. While arrivals are mostly not duplicates
+    /// (at most half of the previous batch's points joined a tracked
+    /// group), pass 1 folds every point's cell into its mixer key, pass 2
+    /// hashes all keys in one batched sweep (bit-identical to hashing
+    /// them one by one), pass 3 replays the sequential arrival loop with
+    /// the precomputed `(key, hash)` pairs. A point that is not a
+    /// duplicate — accepted, rejected or ignored — consumes its hash, so
+    /// a heavily subsampled stream, where most first points are ignored,
+    /// stays on this path. Once duplicates dominate, most precomputed
+    /// hashes would go unused (a duplicate never consumes its hash), so
+    /// the batch falls back to the per-point path, which hashes lazily on
+    /// a duplicate-probe miss. The precomputation is pure — no RNG draw,
+    /// no stored state — so the arrival decisions are exactly those of
+    /// per-point processing either way.
     fn process_batch_keyed<'a, I>(&mut self, points: I) -> BatchStats
     where
         I: Iterator<Item = &'a Point> + Clone,
     {
         let mut stats = BatchStats::default();
-        let mostly_distinct = self.store.len() as u64 * 2 >= self.seen;
-        if mostly_distinct {
+        if self.prehash {
             let mut keys = std::mem::take(&mut self.batch_keys);
             let mut hashes = std::mem::take(&mut self.batch_hashes);
             keys.clear();
@@ -251,6 +269,9 @@ impl RobustL0Sampler {
             for p in points {
                 stats.record(self.process_point(p, None));
             }
+        }
+        if stats.total() > 0 {
+            self.prehash = stats.duplicates * 2 <= stats.total();
         }
         self.space.observe(self.words());
         stats
@@ -270,21 +291,21 @@ impl RobustL0Sampler {
         // probing the store buckets of the DFS-enumerated adjacent cells
         // sees every match; the minimum chain rank reproduces the
         // accept-then-reject first-match order of the old linear scan.
+        // The walk also keeps every visited cell's folded key, `cell(p)`
+        // first, for Lines 6 and 8.
         //
         // `|adj(p)|` grows exponentially with the dimension, so the
         // enumeration carries a cell budget: past it (high-dimensional
         // grids where the cell index stops paying for itself) the probe
         // aborts and the linear chain scan answers instead — same record
         // either way, both compute the first chain-order match.
-        const PROBE_CELL_BUDGET: usize = 64;
         let mut best: Option<(u64, u32)> = None;
-        let mut own_key: Option<u64> = None;
+        self.adj_keys.clear();
         let truncated = {
             let grid = self.ctx.grid();
             let hasher = self.ctx.hasher();
             let store = &self.store;
-            let adj_scratch = &mut self.adj_scratch;
-            let mut visited = 0usize;
+            let adj_keys = &mut self.adj_keys;
             for_each_adjacent_cell_fold_with(
                 grid,
                 p,
@@ -292,18 +313,14 @@ impl RobustL0Sampler {
                 hasher.mixer().fold_init(grid.dim()),
                 CellKeyMixer::fold_step,
                 |_cell, key| {
-                    if own_key.is_none() {
-                        // The DFS visits cell(p) first.
-                        own_key = Some(key);
-                    }
-                    visited += 1;
-                    if visited > PROBE_CELL_BUDGET {
+                    if adj_keys.len() == PROBE_CELL_BUDGET {
                         return true;
                     }
+                    adj_keys.push(key);
                     store.probe_best(key, p, alpha, &mut best);
                     false
                 },
-                adj_scratch,
+                &mut self.adj_scratch,
             )
         };
         if truncated {
@@ -319,10 +336,12 @@ impl RobustL0Sampler {
             return ProcessOutcome::Duplicate;
         }
 
-        // p is the first point of its group among the candidates.
+        // p is the first point of its group among the candidates: its own
+        // cell's hash comes from the batch precompute, else from the
+        // first visited key (the DFS visits cell(p) first).
         let (key, h) = if let Some(kh) = own {
             kh
-        } else if let Some(k) = own_key {
+        } else if let Some(&k) = self.adj_keys.first() {
             (k, self.ctx.hasher().hash_key(k))
         } else {
             // Unreachable (the DFS always visits cell(p)); recompute from
@@ -335,7 +354,7 @@ impl RobustL0Sampler {
             self.store.push_acc(key, h, p.clone());
             self.summary_cache = None;
             ProcessOutcome::Accepted
-        } else if self.ctx.any_adjacent_sampled(p, self.level) {
+        } else if self.adjacent_sampled(p, truncated) {
             // Line 8: some adjacent cell is sampled; remember the group as
             // rejected so later points of it are never mistaken for first
             // points.
@@ -355,6 +374,20 @@ impl RobustL0Sampler {
         outcome
     }
 
+    /// Line 8 for an arrival whose own cell missed Line 6. Within the
+    /// probe budget the walk already holds every cell of `adj(p)`, so the
+    /// cells after `cell(p)` are hashed in lane-parallel sweeps with no
+    /// second walk; past the budget a second, early-exiting walk answers.
+    fn adjacent_sampled(&mut self, p: &Point, truncated: bool) -> bool {
+        if truncated {
+            return self
+                .ctx
+                .any_adjacent_sampled_with(p, self.level, &mut self.adj_scratch);
+        }
+        let rest = self.adj_keys.get(1..).unwrap_or_default();
+        self.ctx.hasher().any_key_sampled(rest, self.level)
+    }
+
     /// Doubles `R` and refilters both sets under the new rate.
     ///
     /// Groups whose own cell survives stay accepted (Fact 1b: survivors
@@ -367,10 +400,15 @@ impl RobustL0Sampler {
         self.rate_doublings += 1;
         self.summary_cache = None;
         let level = self.level;
-        let Self { store, ctx, .. } = self;
+        let Self {
+            store,
+            ctx,
+            adj_scratch,
+            ..
+        } = self;
         store.retain_after_doubling(
             |cell_hash| rds_hashing::level_sampled(cell_hash, level),
-            |rep| ctx.any_adjacent_sampled(rep, level),
+            |rep| ctx.any_adjacent_sampled_with(rep, level, adj_scratch),
         );
     }
 

@@ -22,7 +22,7 @@ use crate::sampler::{window_entry_record, DistinctSampler, WindowSummary};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::SeedableRng;
-use rds_geometry::Point;
+use rds_geometry::{AdjacencyScratch, Point};
 use rds_stream::{Stamp, StreamItem, Window};
 use std::sync::Arc;
 
@@ -108,6 +108,8 @@ pub struct FixedRateWindowSampler {
     level: u32,
     entries: Vec<WindowGroupEntry>,
     scratch: Vec<i64>,
+    /// DFS scratch for the `adj(p)` sampling test, reused across points.
+    adj_scratch: AdjacencyScratch,
     rng: StdRng,
     seen: u64,
     /// Monotone count of operations that changed `entries` — the level's
@@ -140,6 +142,7 @@ impl FixedRateWindowSampler {
             level,
             entries: Vec::new(),
             scratch: Vec::new(),
+            adj_scratch: AdjacencyScratch::new(),
             rng: StdRng::seed_from_u64(seed ^ 0xA1 ^ ((level as u64) << 32)),
             seen: 0,
             mutations: 0,
@@ -215,7 +218,10 @@ impl FixedRateWindowSampler {
                 .push(WindowGroupEntry::new(&item.point, h, item.stamp, true));
             self.mutations += 1;
             ProcessOutcome::Accepted
-        } else if self.ctx.any_adjacent_sampled(&item.point, self.level) {
+        } else if self
+            .ctx
+            .any_adjacent_sampled_with(&item.point, self.level, &mut self.adj_scratch)
+        {
             self.entries
                 .push(WindowGroupEntry::new(&item.point, h, item.stamp, false));
             self.mutations += 1;
@@ -339,13 +345,15 @@ impl FixedRateWindowSampler {
         // Refilter the promoted prefix at the finer rate. Fact 1b: an
         // accepted entry can stay accepted or degrade; a rejected entry
         // can never become accepted.
+        let ctx = &self.ctx;
+        let adj_scratch = &mut self.adj_scratch;
         let refiltered = promoted
             .into_iter()
             .filter_map(|mut e| {
-                if self.ctx.hash_sampled(e.rep_hash, next) {
+                if ctx.hash_sampled(e.rep_hash, next) {
                     e.accepted = true;
                     Some(e)
-                } else if self.ctx.any_adjacent_sampled(&e.rep, next) {
+                } else if ctx.any_adjacent_sampled_with(&e.rep, next, adj_scratch) {
                     e.accepted = false;
                     Some(e)
                 } else {

@@ -7,7 +7,7 @@
 //! halving the sample rate only ever *removes* sampled cells — the property
 //! that makes rate doubling (Algorithm 1) and `Split` (Algorithm 4) sound.
 
-use crate::{CellKeyMixer, KWiseHash};
+use crate::{CellKeyMixer, KWiseHash, LANES};
 use rand::Rng;
 
 /// Returns whether a hash value is sampled at `rate 2^-level`, i.e. whether
@@ -110,6 +110,19 @@ impl CellHasher {
     #[inline]
     pub fn key_sampled(&self, key: u64, level: u32) -> bool {
         level_sampled(self.hash_key(key), level)
+    }
+
+    /// Whether any of `keys` is sampled at rate `2^-level`: hashes
+    /// [`LANES`] keys per coefficient-major sweep
+    /// ([`KWiseHash::hash_lanes`]) and returns after the first chunk that
+    /// holds a sampled key. Same answer as testing each key with
+    /// [`CellHasher::key_sampled`].
+    pub fn any_key_sampled(&self, keys: &[u64], level: u32) -> bool {
+        keys.chunks(LANES).any(|chunk| {
+            self.hash.hash_lanes(chunk)[..chunk.len()]
+                .iter()
+                .any(|&h| level_sampled(h, level))
+        })
     }
 
     /// Batch variant of [`CellHasher::hash_key`]: hashes a whole slice of

@@ -13,6 +13,9 @@ use rand::{Rng, RngExt};
 /// The Mersenne prime `2^61 - 1` used as the hash field modulus.
 pub const M61: u64 = (1u64 << 61) - 1;
 
+/// Keys one [`KWiseHash::hash_lanes`] sweep evaluates side by side.
+pub const LANES: usize = 8;
+
 /// Reduces a 122-bit product modulo `2^61 - 1`.
 #[inline]
 fn reduce128(x: u128) -> u64 {
@@ -98,32 +101,57 @@ impl KWiseHash {
         acc
     }
 
-    /// Evaluates the hash over a whole slice of keys in one pass per
-    /// coefficient, appending the results to `out` (cleared first).
+    /// Evaluates the hash at up to [`LANES`] keys side by side, one
+    /// coefficient at a time across all lanes: `out[i] == self.hash(keys[i])`
+    /// bit for bit for `i < keys.len()`; lanes past `keys.len()` hold 0.
     ///
-    /// Per element this performs exactly the modular arithmetic of
-    /// [`KWiseHash::hash`], so `out[i] == self.hash(keys[i])` bit for bit;
-    /// only the loop order changes. Walking coefficient-major over small
-    /// chunks breaks the serial Horner dependency chain of the per-point
-    /// path — each of the `LANES` accumulators advances independently, so
-    /// the `Θ(log m)` 64×64→128 multiplies per key overlap instead of
-    /// serializing, which is where the batch amortization comes from.
+    /// The lanes' Horner chains are independent, so their `Θ(log m)`
+    /// 64×64→128 multiplies overlap instead of serializing. Each step
+    /// also reduces lazily: the accumulator stays congruent to the exact
+    /// value but only below `2^61 + 3` (one fold per step instead of two
+    /// conditional subtractions), and is brought into `[0, 2^61 - 1)`
+    /// once at the end — the same field element [`KWiseHash::hash`]
+    /// returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keys.len() > LANES`.
+    #[inline]
+    pub fn hash_lanes(&self, keys: &[u64]) -> [u64; LANES] {
+        let n = keys.len();
+        assert!(n <= LANES, "at most {LANES} keys per sweep, got {n}");
+        let mut x = [0u64; LANES];
+        let mut acc = [0u64; LANES];
+        for (lane, &k) in x.iter_mut().zip(keys) {
+            *lane = k % M61;
+        }
+        for &c in self.coeffs.iter().rev() {
+            for (a, &xi) in acc[..n].iter_mut().zip(&x[..n]) {
+                // a < 2^61 + 3 and xi < 2^61 keep the product below 2^123,
+                // so lo + hi + c < 2^61 + 2^62 + 2^61 = 2^63 and the fold
+                // lands below 2^61 + 3 again.
+                let prod = u128::from(*a) * u128::from(xi);
+                let s = (prod as u64 & M61) + (prod >> 61) as u64 + c;
+                *a = (s & M61) + (s >> 61);
+            }
+        }
+        for a in &mut acc[..n] {
+            if *a >= M61 {
+                *a -= M61;
+            }
+        }
+        acc
+    }
+
+    /// Evaluates the hash over a whole slice of keys, [`LANES`] keys per
+    /// coefficient-major sweep ([`KWiseHash::hash_lanes`]), appending the
+    /// results to `out` (cleared first): `out[i] == self.hash(keys[i])`
+    /// bit for bit; only the loop order changes.
     pub fn hash_slice(&self, keys: &[u64], out: &mut Vec<u64>) {
-        const LANES: usize = 8;
         out.clear();
         out.reserve(keys.len());
         for chunk in keys.chunks(LANES) {
-            let mut x = [0u64; LANES];
-            let mut acc = [0u64; LANES];
-            for (lane, &k) in x.iter_mut().zip(chunk.iter()) {
-                *lane = k % M61;
-            }
-            for &c in self.coeffs.iter().rev() {
-                for i in 0..chunk.len() {
-                    acc[i] = add_mod(mul_mod(acc[i], x[i]), c);
-                }
-            }
-            out.extend_from_slice(&acc[..chunk.len()]);
+            out.extend_from_slice(&self.hash_lanes(chunk)[..chunk.len()]);
         }
     }
 
@@ -239,6 +267,29 @@ mod tests {
                 let per_key: Vec<u64> = keys.iter().map(|&x| h.hash(x)).collect();
                 assert_eq!(out, per_key, "k={k} len={len}");
             }
+        }
+    }
+
+    #[test]
+    fn lanes_bring_a_lazily_reduced_accumulator_into_the_field() {
+        // h(x) = (M61 - 5) x + 5: at x ≡ 1 the last fold lands exactly on
+        // M61, which only the final reduction maps to 0; the top
+        // coefficients keep every lane near the accumulator bound.
+        let h = KWiseHash {
+            coeffs: vec![5, M61 - 5].into_boxed_slice(),
+        };
+        let keys = [1, M61 + 1, M61 - 1, 2, u64::MAX];
+        let lanes = h.hash_lanes(&keys);
+        assert_eq!(lanes[0], 0);
+        for (i, &k) in keys.iter().enumerate() {
+            assert_eq!(lanes[i], h.hash(k), "key {k}");
+        }
+        let top = KWiseHash {
+            coeffs: vec![M61 - 1; 42].into_boxed_slice(),
+        };
+        let lanes = top.hash_lanes(&keys);
+        for (i, &k) in keys.iter().enumerate() {
+            assert_eq!(lanes[i], top.hash(k), "key {k}");
         }
     }
 

@@ -13,6 +13,6 @@ mod mix;
 mod point_id;
 
 pub use cell::{level_sampled, level_sampled_slice, max_sampled_level, CellHasher};
-pub use kwise::{KWiseHash, M61};
+pub use kwise::{KWiseHash, LANES, M61};
 pub use mix::{splitmix64, CellKeyMixer};
 pub use point_id::point_identity;

@@ -83,9 +83,10 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "L10",
         "no HashMap/BTreeMap and no per-point heap allocation inside the rds-core \
-         arrival hot path (fn process/process_inner/process_point) — duplicate \
-         detection goes through the cell-indexed CandidateStore and scratch buffers \
-         live on the sampler (PR 10: cell-indexed store data-layout pass)",
+         arrival hot path (fn process/process_inner/process_point/insert_first_point), \
+         including the adjacency wrappers that allocate DFS scratch per call — \
+         duplicate detection goes through the cell-indexed CandidateStore and scratch \
+         buffers live on the sampler (the cell-indexed store's arrival contract)",
     ),
 ];
 
@@ -1020,8 +1021,14 @@ fn rule_l6(ctx: &mut Ctx<'_>) {
 
 /// Fn names forming the per-point arrival hot path in rds-core: a map
 /// lookup or heap allocation in one of these bodies runs once per
-/// stream point.
-const HOT_PATH_FNS: &[&str] = &["process", "process_inner", "process_point"];
+/// stream point (`insert_first_point` once per first point of a group,
+/// the window family's share of the arrival path).
+const HOT_PATH_FNS: &[&str] = &[
+    "process",
+    "process_inner",
+    "process_point",
+    "insert_first_point",
+];
 
 /// Map types with no place on the arrival path: the cell-indexed
 /// `CandidateStore` is the blessed per-point index.
@@ -1034,12 +1041,21 @@ const ALLOC_MACROS: &[&str] = &["vec", "format"];
 const ALLOC_PATH_TYPES: &[&str] = &["Vec", "String", "Box", "VecDeque"];
 const ALLOC_PATH_FNS: &[&str] = &["new", "with_capacity", "from"];
 const ALLOC_METHODS: &[&str] = &["collect", "to_vec", "to_owned", "to_string"];
+/// Adjacency entry points that build fresh DFS scratch on every call;
+/// their `_with` forms (`for_each_adjacent_cell_fold_with`,
+/// `any_adjacent_sampled_with`) take caller-owned scratch instead.
+const ALLOC_ADJACENCY_FNS: &[&str] = &[
+    "for_each_adjacent_cell",
+    "for_each_adjacent_cell_fold",
+    "any_adjacent_sampled",
+];
 
 /// L10: the arrival hot path allocates nothing and consults no std map
 /// — duplicate detection goes through the cell-indexed store and every
 /// scratch buffer is preallocated on the sampler, so processing a point
 /// costs O(probe) with no allocator traffic (PR 10 contract). Scans the
-/// bodies of core fns named `process`/`process_inner`/`process_point`;
+/// bodies of core fns named in [`HOT_PATH_FNS`], including calls to the
+/// scratch-allocating adjacency wrappers ([`ALLOC_ADJACENCY_FNS`]);
 /// cold paths (`double_rate`, queries, checkpointing) may allocate
 /// freely.
 fn rule_l10(ctx: &mut Ctx<'_>) {
@@ -1139,6 +1155,19 @@ fn rule_l10(ctx: &mut Ctx<'_>) {
                     format!(
                         "`.{}()` allocates once per point inside fn {fn_name}; reuse \
                          a scratch buffer on the sampler (PR 10 contract)",
+                        t.text
+                    ),
+                );
+                continue;
+            }
+            if next_is("(") && ALLOC_ADJACENCY_FNS.contains(&t.text.as_str()) {
+                ctx.emit(
+                    "L10",
+                    &t.clone(),
+                    format!(
+                        "`{}` allocates fresh DFS scratch on every call inside fn \
+                         {fn_name}; call a `_with` form on an AdjacencyScratch held \
+                         by the sampler",
                         t.text
                     ),
                 );

@@ -206,6 +206,22 @@ fn l10_flags_maps_and_allocation_in_hot_path_fns_only() {
 }
 
 #[test]
+fn l10_flags_scratch_allocating_adjacency_wrappers_on_the_hot_path() {
+    let f = scan_as("l10_adjacency_tp.rs", CORE_PATH);
+    // 6: any_adjacent_sampled in process_point; 13: for_each_adjacent_cell_fold
+    // and 14: for_each_adjacent_cell in insert_first_point
+    assert_eq!(lines_of(&f, "L10"), vec![6, 13, 14], "{f:?}");
+    assert_eq!(f.len(), 3, "{f:?}");
+    assert!(f.iter().all(|x| x.message.contains("_with")), "{f:?}");
+}
+
+#[test]
+fn l10_spares_the_with_forms_cold_paths_and_mentions() {
+    let f = scan_as("l10_adjacency_fp.rs", CORE_PATH);
+    assert!(f.is_empty(), "{f:?}");
+}
+
+#[test]
 fn l10_is_scoped_to_core_library_code() {
     // the same content outside rds-core, or in any test tree, is silent
     assert!(lines_of(&scan_as("l10_cases.rs", "crates/engine/src/lib.rs"), "L10").is_empty());
@@ -255,6 +271,7 @@ fn fixture_paths_are_exempt_wholesale() {
         "l7_cases.rs",
         "l9_cases.rs",
         "l10_cases.rs",
+        "l10_adjacency_tp.rs",
     ] {
         let path = format!("crates/lint/tests/fixtures/{name}");
         assert!(scan_as(name, &path).is_empty(), "{name} leaked findings");

@@ -11,7 +11,7 @@ use rds_core::{
     Checkpointable, DistinctSampler, ProcessOutcome, RobustF0Estimator,
     RobustL0Sampler, SamplerConfig, SamplerContext, SlidingWindowSampler, MAX_LEVEL,
 };
-use rds_geometry::Point;
+use rds_geometry::{for_each_adjacent_cell, Point};
 use rds_stream::{Stamp, StreamItem, Window};
 
 /// One candidate record of the reference model.
@@ -81,7 +81,7 @@ impl RefSampler {
                 reservoir: p.clone(),
             });
             ProcessOutcome::Accepted
-        } else if self.ctx.any_adjacent_sampled(p, self.level) {
+        } else if self.adjacent_sampled(p, self.level) {
             self.rej.push(RefRecord {
                 rep: p.clone(),
                 cell_hash: h,
@@ -111,14 +111,25 @@ impl RefSampler {
             }
         }
         self.acc = kept;
+        let mut rej = std::mem::take(&mut self.rej);
+        rej.retain(|rec| self.adjacent_sampled(&rec.rep, level));
         for rec in demoted {
-            if self.ctx.any_adjacent_sampled(&rec.rep, level) {
-                self.rej.push(rec);
+            if self.adjacent_sampled(&rec.rep, level) {
+                rej.push(rec);
             }
         }
-        let ctx = &self.ctx;
-        self.rej
-            .retain(|rec| ctx.any_adjacent_sampled(&rec.rep, level));
+        self.rej = rej;
+    }
+
+    /// Line 8 written out cell by cell: enumerate `adj(p)` and hash each
+    /// cell from its coordinates with the serial k-wise hash — no key
+    /// fold, no lanes, no shared scratch — so a fault in the production
+    /// kernels shows up as a diverging decision instead of being copied.
+    fn adjacent_sampled(&self, p: &Point, level: u32) -> bool {
+        let hasher = self.ctx.hasher();
+        for_each_adjacent_cell(self.ctx.grid(), p, self.ctx.alpha(), |cell| {
+            hasher.sampled(cell, level)
+        })
     }
 
     /// The original query path: a uniform index draw over `Sacc`
@@ -297,6 +308,52 @@ fn adversarial_doubling_schedule_matches_reference() {
             prod.rate_doublings() > 0,
             "schedule failed to force any doubling (seed {seed})"
         );
+    }
+}
+
+/// 5-D points, most of them past the 64-cell probe budget: the linear
+/// scan answers Line 4 and a second, lane-hashed walk over all of
+/// `adj(p)` answers Line 8. A threshold of 2 drives the rate down far
+/// enough that the sampled cell of `adj(p)` often lies past the first 64
+/// visited. Per-point and batched feeding both stay in lockstep with the
+/// reference.
+#[test]
+fn over_budget_points_match_reference() {
+    for seed in 0..4u64 {
+        let pts = entity_stream(seed, 400, 120, 5);
+        let cfg = SamplerConfig::builder(5, 1.0)
+            .seed(seed ^ 0x5D5D)
+            .expected_len(pts.len() as u64)
+            .build()
+            .unwrap();
+        let grid = SamplerContext::new(cfg.clone()).grid().clone();
+        let over = pts
+            .iter()
+            .filter(|p| {
+                let mut cells = 0usize;
+                for_each_adjacent_cell(&grid, p, 1.0, |_| {
+                    cells += 1;
+                    false
+                });
+                cells > 64
+            })
+            .count();
+        assert!(
+            over * 2 > pts.len(),
+            "only {over} points past the budget (seed {seed})"
+        );
+        let mut prod = RobustL0Sampler::try_with_threshold(cfg.clone(), 2).unwrap();
+        let mut batched = RobustL0Sampler::try_with_threshold(cfg.clone(), 2).unwrap();
+        let mut reference = RefSampler::with_threshold(cfg, 2);
+        for p in &pts {
+            assert_eq!(prod.process(p), reference.process(p), "seed {seed}");
+        }
+        for chunk in pts.chunks(37) {
+            batched.process_batch(chunk);
+        }
+        assert_states_agree(&prod, &reference);
+        assert_states_agree(&batched, &reference);
+        assert!(prod.level() >= 4, "level {} (seed {seed})", prod.level());
     }
 }
 
