@@ -13,7 +13,7 @@ cargo test -q --workspace
 echo "==> cargo clippy -- -D warnings (all targets)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> rds-lint (repo invariants: panic-free serving path, atomic writes, determinism)"
+echo "==> rds-lint (invariants clippy cannot express: literal indexing, fallible new, lock-free publication, tenant lock discipline, allocation-free arrival path)"
 cargo run -q -p rds-lint
 test -s LINT_report.json || { echo "LINT_report.json missing"; exit 1; }
 grep -q '"finding_count": 0' LINT_report.json || {

@@ -99,6 +99,10 @@ struct EngineBenchReport {
 }
 
 /// Best-of-`iters` throughput of `run` over `n_points` items.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a throughput bench times its loop on the wall clock"
+)]
 fn points_per_sec(n_points: u64, iters: u32, mut run: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..iters.max(1) {
@@ -164,6 +168,10 @@ fn bench_sharded(points: &[Point], shards: usize, iters: u32) -> (f64, Vec<f64>)
 /// The split facade under concurrent load: one writer ingesting the whole
 /// stream, `readers` cloned readers querying in a loop the whole time.
 /// Returns (writer points/sec, aggregate reader queries/sec).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a throughput bench times its loop on the wall clock"
+)]
 fn bench_concurrent(points: &[Point], shards: usize, readers: usize) -> (f64, f64) {
     let n = points.len() as u64;
     let (mut writer, reader) = Rds::builder()
@@ -213,6 +221,10 @@ fn bench_concurrent(points: &[Point], shards: usize, readers: usize) -> (f64, f6
     (n as f64 / elapsed, total_queries as f64 / elapsed)
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the bench report is a regenerated artifact, not a checkpoint"
+)]
 fn main() {
     let (n_points, n_entities, iters) = if fast_mode() {
         (4_000u64, 500u64, 1u32)

@@ -109,6 +109,10 @@ fn scratch() -> std::path::PathBuf {
     dir
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a bench times its phases on the wall clock and writes a regenerated report, not a checkpoint"
+)]
 fn main() {
     let (key_space, zipf_ops) = if fast_mode() {
         (20_000u64, 20_000u64)

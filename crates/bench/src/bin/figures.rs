@@ -353,6 +353,10 @@ fn run_f0(opts: &Options) -> Vec<F0Result> {
     out
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the figure JSON is a regenerated artifact, not a checkpoint"
+)]
 fn main() {
     let (target, opts) = parse_args();
     let mut all = AllResults::default();

@@ -105,6 +105,10 @@ fn ingest_body(offset: u64) -> String {
 /// Runs `n` requests of one class on a fresh keep-alive connection,
 /// returning the per-request latencies in microseconds. A broken
 /// connection is re-dialed so one hiccup doesn't sink the whole class.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a load generator measures request latency on the wall clock"
+)]
 fn drive(
     addr: SocketAddr,
     n: u64,
@@ -226,6 +230,10 @@ fn resolve(addr: &str) -> Result<SocketAddr, String> {
         .ok_or(format!("{addr} resolves to no address"))
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a load generator times its run on the wall clock and writes a regenerated report, not a checkpoint"
+)]
 fn main() -> ExitCode {
     let opts = match parse_opts() {
         Ok(o) => o,

@@ -1240,6 +1240,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test plants a corrupt checkpoint file on purpose"
+    )]
     fn checkpoint_restore_of_corrupt_file_is_a_config_error() {
         let dir = std::env::temp_dir().join(format!("rds-cli-chk-bad-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");

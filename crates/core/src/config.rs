@@ -116,6 +116,10 @@ impl SamplerConfig {
 
     /// The acceptance-set size threshold `ceil(kappa_0 * k * log2 m)`
     /// (Algorithm 1 line 10).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float-to-int `as` saturates; validated kappa0 and k keep the product far below usize::MAX"
+    )]
     pub fn threshold(&self) -> usize {
         (self.kappa0 * self.k as f64 * self.log2_m()).ceil() as usize
     }

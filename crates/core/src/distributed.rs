@@ -192,9 +192,8 @@ impl SamplerSummary for MergedSummary {
     /// every record with the shared hash (Fact 1b) and deduplicates
     /// cross-summary groups.
     fn merge(self, other: Self) -> Result<Self, RdsError> {
-        // lint:allow(L1) merge_many of a two-element vec always returns
-        // Some; config-mismatch errors propagate through the `?`
-        Ok(Self::merge_many(vec![self, other])?.expect("two summaries merged"))
+        // merge_many returns None only for an empty input
+        Self::merge_many(vec![self, other])?.ok_or(RdsError::InvalidShards)
     }
 
     /// Single-pass N-way merge: one shared context, one deduplication

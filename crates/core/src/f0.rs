@@ -80,6 +80,10 @@ impl RobustF0Estimator {
     ///
     /// The [`Self::try_new`] errors, plus [`RdsError::InvalidKappaB`]
     /// unless `kappa_b` is strictly positive and finite.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float-to-int `as` saturates; validated eps and kappa_b keep the threshold a small count"
+    )]
     pub fn try_with_kappa_b(
         cfg: SamplerConfig,
         eps: f64,
@@ -162,6 +166,10 @@ impl SlidingWindowF0 {
     ///
     /// [`RdsError::InvalidEps`] unless `eps` is in `(0, 1]`;
     /// [`RdsError::UnboundedWindow`] when the window is unbounded.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float-to-int `as` saturates; eps in (0, 1] keeps the copy count at most ceil(2 / eps^2)"
+    )]
     pub fn try_new(cfg: SamplerConfig, window: Window, eps: f64) -> Result<Self, RdsError> {
         if !(eps > 0.0 && eps <= 1.0) {
             return Err(RdsError::InvalidEps { eps });

@@ -67,6 +67,10 @@ impl RobustHeavyHitters {
     ///
     /// [`RdsError::InvalidPhi`] unless `0 < phi <= 1`;
     /// [`RdsError::InvalidAlpha`] unless `alpha` is positive and finite.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float-to-int `as` saturates; phi in (0, 1] keeps the counter count at most ceil(2 / phi)"
+    )]
     pub fn try_new(phi: f64, alpha: f64) -> Result<Self, RdsError> {
         if !(phi > 0.0 && phi <= 1.0) {
             return Err(RdsError::InvalidPhi { phi });
@@ -115,6 +119,10 @@ impl RobustHeavyHitters {
     /// Groups whose estimated frequency exceeds `phi` (every true heavy
     /// hitter is included; false positives have estimated counts within
     /// `m / capacity` of the threshold).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "phi <= 1, so the floored threshold is at most `seen` and fits u64"
+    )]
     pub fn heavy_hitters(&self) -> Vec<&HeavyGroup> {
         let threshold = (self.phi * self.seen as f64).floor() as u64;
         let mut out: Vec<&HeavyGroup> = self

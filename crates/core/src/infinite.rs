@@ -412,6 +412,18 @@ impl RobustL0Sampler {
         );
     }
 
+    /// Slot of a uniformly random accepted group, drawn with one PRNG
+    /// word; `None` (drawing nothing) when the accept set is empty.
+    fn pick_accepted(&mut self) -> Option<u32> {
+        let n = self.store.acc_len();
+        if n == 0 {
+            return None;
+        }
+        // the draw is below `n`, a usize, so the conversion never fails
+        let pick = usize::try_from(self.rng.word_below(n as u64)).ok()?;
+        Some(self.store.acc_slot(pick))
+    }
+
     /// Draws one robust ℓ0-sample: the representative (first point) of a
     /// uniformly random sampled group. `None` iff no point was processed.
     ///
@@ -419,24 +431,16 @@ impl RobustL0Sampler {
     /// ([`DistinctSampler::query_record`], [`DistinctSampler::query_k`])
     /// return owned records.
     pub fn query(&mut self) -> Option<&Point> {
-        let n = self.store.acc_len();
-        if n == 0 {
-            return None;
-        }
-        let pick = self.rng.word_below(n as u64);
-        Some(self.store.rep(self.store.acc_slot(pick as usize)))
+        let slot = self.pick_accepted()?;
+        Some(self.store.rep(slot))
     }
 
     /// Like [`Self::query`] but returns a uniformly random *member* of the
     /// sampled group instead of its first point (Section 2.3, reservoir
     /// extension).
     pub fn query_random_member(&mut self) -> Option<&Point> {
-        let n = self.store.acc_len();
-        if n == 0 {
-            return None;
-        }
-        let pick = self.rng.word_below(n as u64);
-        Some(self.store.reservoir(self.store.acc_slot(pick as usize)))
+        let slot = self.pick_accepted()?;
+        Some(self.store.reservoir(slot))
     }
 
     /// The estimate `|Sacc| * R` of the number of distinct groups
@@ -604,12 +608,8 @@ impl DistinctSampler for RobustL0Sampler {
     }
 
     fn query_record(&mut self) -> Option<GroupRecord> {
-        let n = self.store.acc_len();
-        if n == 0 {
-            return None;
-        }
-        let pick = self.rng.word_below(n as u64);
-        Some(self.store.record_at(self.store.acc_slot(pick as usize)))
+        let slot = self.pick_accepted()?;
+        Some(self.store.record_at(slot))
     }
 
     fn query_k(&mut self, k: usize) -> Vec<GroupRecord> {

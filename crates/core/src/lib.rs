@@ -4,6 +4,18 @@
 //! with Near-Duplicates"* (PODS 2018).
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::cast_possible_truncation,
+    )
+)]
 
 mod checkpoint;
 mod config;

@@ -1,6 +1,6 @@
 //! The blessed atomic-write helper: every durable write in the workspace
-//! goes through [`write_atomic`] (rds-lint rule L2 rejects raw
-//! `std::fs::write`/`File::create` anywhere else).
+//! goes through [`write_atomic`] (the root `clippy.toml` lists raw
+//! `std::fs::write`/`File::create` as disallowed methods everywhere else).
 //!
 //! The commit protocol is write-to-sibling-temp-then-rename: a crash or
 //! full disk mid-write leaves any previous file at `path` intact — the
@@ -22,15 +22,16 @@ use std::path::{Path, PathBuf};
 /// # Errors
 ///
 /// Propagates the underlying I/O error from the write or the rename.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "this is the atomic-write helper: the raw write lands on the temp sibling, and the rename is the commit"
+)]
 pub fn write_atomic(path: impl AsRef<Path>, bytes: impl AsRef<[u8]>) -> io::Result<()> {
     let path = path.as_ref();
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(format!(".tmp-{}", std::process::id()));
     let tmp = PathBuf::from(tmp);
-    // lint:allow(L2) this module IS the blessed helper; the raw write
-    // lands on the temp sibling, never the destination
     std::fs::write(&tmp, bytes.as_ref())?;
-    // lint:allow(L2) the rename is the atomic commit of the protocol
     std::fs::rename(&tmp, path).inspect_err(|_| {
         let _ = std::fs::remove_file(&tmp);
     })

@@ -88,6 +88,10 @@ const EMPTY_ENTRY: u64 = u64::MAX;
 
 /// Sets `key`'s presence bit in `filter` (`filter.len()` a power of two).
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "hash-to-index: the key is masked to the power-of-two filter length"
+)]
 fn filter_set(filter: &mut [u64], key: u64) {
     let w = (key as usize >> 6) & (filter.len() - 1);
     filter[w] |= 1u64 << (key & 63);
@@ -96,6 +100,10 @@ fn filter_set(filter: &mut [u64], key: u64) {
 /// Linear-probing insert of `tag << 32 | slot` into the fused table
 /// (`table.len()` a power of two, never full).
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "hash-to-index: the key is masked to the power-of-two table length, and `as u32` takes an entry's slot half"
+)]
 fn table_insert(table: &mut [u64], key: u64, slot: u32) {
     let m = table.len() - 1;
     let mut idx = (key as usize) & m;
@@ -144,6 +152,10 @@ impl CandidateStore {
     /// exactly the record the old linear accept-then-reject scan would
     /// have found first.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "hash-to-index: the key is masked to the power-of-two table length, and `as u32` takes an entry's slot half"
+    )]
     pub fn probe_best(&self, key: u64, p: &Point, alpha: f64, best: &mut Option<(u64, u32)>) {
         if self.table.is_empty() {
             return;
@@ -279,6 +291,10 @@ impl CandidateStore {
         self.rej_slots.push(slot);
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "slots are u32 by design: 2^32 records of two points each would exhaust memory first"
+    )]
     fn push_record(
         &mut self,
         key: u64,
@@ -313,6 +329,10 @@ impl CandidateStore {
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "slots are u32 by design: 2^32 records of two points each would exhaust memory first"
+    )]
     fn rebuild_table(&mut self, cap: usize) {
         debug_assert!(cap.is_power_of_two() && cap >= self.reps.len() * 2);
         self.table = vec![EMPTY_ENTRY; cap];
@@ -370,6 +390,10 @@ impl CandidateStore {
 
     /// Drops every record not referenced by the order lists, renumbers
     /// slots, and rebuilds the table. `O(n)`; runs only on rate doubling.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "slots are u32 by design: 2^32 records of two points each would exhaust memory first"
+    )]
     fn compact(&mut self) {
         let live = self.acc_slots.len() + self.rej_slots.len();
         let mut remap = vec![EMPTY; self.reps.len()];

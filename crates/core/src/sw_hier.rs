@@ -236,9 +236,11 @@ impl SlidingWindowSampler {
         let h = self.ctx.cell_hash(&item.point, &mut self.scratch);
         // Rate 1: every cell is sampled, the entry is accepted.
         let entry = WindowGroupEntry::new_accepted(&item.point, h, item.stamp);
-        // lint:allow(L1) levels is sized at construction and never
-        // shrinks, so level 0 always exists
-        self.levels[0].push_entry(entry);
+        // levels is sized at construction and never shrinks, so level 0
+        // always exists
+        if let Some(level0) = self.levels.first_mut() {
+            level0.push_entry(entry);
+        }
     }
 
     /// Algorithm 3 lines 10-17: while some level's accept set exceeds the
@@ -297,10 +299,8 @@ impl SlidingWindowSampler {
     /// Algorithm 3 line 20 and the per-copy statistic of the Section 5
     /// sliding-window F0 estimator). `None` when the window is empty.
     pub fn max_nonempty_level(&self) -> Option<u32> {
-        (0..self.levels.len())
-            .rev()
-            .find(|&l| self.levels[l].accepted_len() > 0)
-            .map(|l| l as u32)
+        let l = self.levels.iter().rposition(|lvl| lvl.accepted_len() > 0)?;
+        u32::try_from(l).ok()
     }
 
     /// Horvitz–Thompson estimate of the number of groups in the window:
@@ -309,8 +309,8 @@ impl SlidingWindowSampler {
     pub fn f0_estimate(&self) -> f64 {
         self.levels
             .iter()
-            .enumerate()
-            .map(|(l, lvl)| lvl.accepted_len() as f64 * 2f64.powi(l as i32))
+            .zip(0i32..)
+            .map(|(lvl, l)| lvl.accepted_len() as f64 * 2f64.powi(l))
             .sum()
     }
 
@@ -534,12 +534,12 @@ impl DistinctSampler for SlidingWindowSampler {
         let entries = self
             .levels
             .iter()
-            .enumerate()
-            .flat_map(|(l, lvl)| {
+            .zip(0u32..)
+            .flat_map(|(lvl, l)| {
                 lvl.entries()
                     .iter()
                     .filter(|e| e.accepted)
-                    .map(move |e| (l as u32, e.clone()))
+                    .map(move |e| (l, e.clone()))
             })
             .collect();
         WindowSummary::from_parts(self.ctx.cfg().clone(), entries)
@@ -555,19 +555,19 @@ impl DistinctSampler for SlidingWindowSampler {
             self.summary_cache = vec![None; self.levels.len()];
         }
         let mut chunks = Vec::new();
-        for (l, lvl) in self.levels.iter().enumerate() {
+        for ((lvl, cached), l) in self.levels.iter().zip(&mut self.summary_cache).zip(0u32..) {
             let muts = lvl.mutations();
-            let chunk = match &self.summary_cache[l] {
+            let chunk = match cached {
                 Some((stamp, chunk)) if *stamp == muts => chunk.clone(),
                 _ => {
                     let built: EntryChunk = Arc::new(
                         lvl.entries()
                             .iter()
                             .filter(|e| e.accepted)
-                            .map(|e| (l as u32, e.clone()))
+                            .map(|e| (l, e.clone()))
                             .collect(),
                     );
-                    self.summary_cache[l] = Some((muts, built.clone()));
+                    *cached = Some((muts, built.clone()));
                     built
                 }
             };
@@ -583,12 +583,12 @@ impl DistinctSampler for SlidingWindowSampler {
         let entries = self
             .levels
             .iter_mut()
-            .enumerate()
-            .flat_map(|(l, lvl)| {
+            .zip(0u32..)
+            .flat_map(|(lvl, l)| {
                 lvl.take_entries()
                     .into_iter()
                     .filter(|e| e.accepted)
-                    .map(move |e| (l as u32, e))
+                    .map(move |e| (l, e))
             })
             .collect();
         WindowSummary::from_parts(cfg, entries)

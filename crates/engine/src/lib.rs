@@ -70,6 +70,18 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::cast_possible_truncation,
+    )
+)]
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -120,13 +132,12 @@ struct Shard<S: DistinctSampler> {
 }
 
 impl<S: DistinctSampler> Shard<S> {
+    #[expect(
+        clippy::expect_used,
+        reason = "a send fails only when the worker hung up, i.e. it already panicked; re-raising that panic is the only sound response"
+    )]
     fn send(&self, cmd: Cmd<S>) {
-        self.tx
-            .send(cmd)
-            // lint:allow(L1) a send fails only when the worker hung up,
-            // which means it already panicked; propagating that panic
-            // here is the only sound response
-            .expect("shard worker terminated");
+        self.tx.send(cmd).expect("shard worker terminated");
     }
 
     /// Ships the buffered items to the worker as one batch.
@@ -178,6 +189,10 @@ impl<S> Router<S> {
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the remainder is below n_shards, a usize"
+    )]
     fn shard_of(&mut self, p: &Point, n_shards: usize) -> usize {
         match self {
             Router::Inline(_) => 0,
@@ -261,17 +276,18 @@ where
     ///
     /// # Errors
     ///
-    /// [`RdsError::InvalidShards`] if `n_shards == 0`, or any
-    /// [`SamplerConfig::validate`] failure.
+    /// [`RdsError::InvalidShards`] if `n_shards == 0`, any
+    /// [`SamplerConfig::validate`] failure, or the first error `make`
+    /// returns.
     pub fn try_with_factory(
         cfg: &SamplerConfig,
         n_shards: usize,
-        mut make: impl FnMut(usize) -> S,
+        mut make: impl FnMut(usize) -> Result<S, RdsError>,
     ) -> Result<Self, RdsError> {
         cfg.validate()?;
         let (router, n_workers) = match n_shards {
             0 => return Err(RdsError::InvalidShards),
-            1 => (Router::Inline(Box::new(make(0))), 0),
+            1 => (Router::Inline(Box::new(make(0)?)), 0),
             n => (Router::grid(cfg), n),
         };
         let mut workers = Workers {
@@ -280,7 +296,7 @@ where
         };
         for i in 0..n_workers {
             let (tx, rx) = mpsc::channel::<Cmd<S>>();
-            let mut sampler = make(i);
+            let mut sampler = make(i)?;
             let handle = std::thread::spawn(move || {
                 while let Ok(cmd) = rx.recv() {
                     match cmd {
@@ -425,6 +441,10 @@ where
     /// trip; dirty shards reply with `Arc`-sharing summaries rebuilt only
     /// for their changed levels — snapshot cost is proportional to what
     /// changed, not to total state size.
+    #[expect(
+        clippy::expect_used,
+        reason = "recv fails only when the worker dropped the reply sender mid-request, i.e. it panicked"
+    )]
     pub fn shard_summaries(&mut self) -> Vec<S::Summary>
     where
         S::Summary: Clone,
@@ -435,36 +455,31 @@ where
         let now = self.last_stamp;
         let clock_moved = S::TIME_SENSITIVE && self.snapshot_stamp != Some(now);
         let shards = &mut self.workers.shards;
+        // Ok: a snapshot request in flight; Err: a clean shard's cached
+        // summary, served without a round trip.
         let mut pending = Vec::with_capacity(shards.len());
-        for (i, shard) in shards.iter().enumerate() {
-            if !shard.dirty && !clock_moved && self.summary_cache[i].is_some() {
-                pending.push(None);
-                continue;
+        for (shard, cached) in shards.iter().zip(&self.summary_cache) {
+            match cached {
+                Some(summary) if !shard.dirty && !clock_moved => pending.push(Err(summary.clone())),
+                _ => {
+                    let (reply_tx, reply_rx) = mpsc::channel();
+                    shard.send(Cmd::Snapshot(reply_tx, now));
+                    pending.push(Ok(reply_rx));
+                }
             }
-            let (reply_tx, reply_rx) = mpsc::channel();
-            shard.send(Cmd::Snapshot(reply_tx, now));
-            pending.push(Some(reply_rx));
         }
         self.snapshot_stamp = Some(now);
         let mut out = Vec::with_capacity(shards.len());
         for (i, rx) in pending.into_iter().enumerate() {
             let summary = match rx {
-                Some(rx) => {
-                    // lint:allow(L1) recv fails only when the worker
-                    // dropped the reply sender mid-request, i.e. it
-                    // panicked
+                Ok(rx) => {
                     let s = rx.recv().expect("shard worker terminated");
                     self.summary_cache[i] = Some(s.clone());
                     shards[i].dirty = false;
                     self.merged_cache = None;
                     s
                 }
-                None => match &self.summary_cache[i] {
-                    Some(cached) => cached.clone(),
-                    // lint:allow(L1) unreachable: a shard is only skipped
-                    // when its cache slot is occupied (checked above)
-                    None => unreachable!("skipped shard has a cached summary"),
-                },
+                Err(cached) => cached,
             };
             out.push(summary);
         }
@@ -544,6 +559,10 @@ where
     /// every ingested item: it flushes the batch buffers before joining
     /// the workers ([`Self::snapshot`], by contrast, is the non-draining
     /// mid-stream publication path).
+    #[expect(
+        clippy::expect_used,
+        reason = "join fails only when the worker panicked; re-raising that panic on the caller is the documented contract of finish"
+    )]
     pub fn finish(mut self) -> S::Summary {
         self.flush();
         let now = self.last_stamp;
@@ -554,9 +573,6 @@ where
             Router::Inline(sampler) => vec![*sampler],
             Router::Grid { .. } => handles
                 .into_iter()
-                // lint:allow(L1) join returns Err only when the worker
-                // panicked; re-raising that panic on the caller is the
-                // documented contract of finish
                 .map(|h| h.join().expect("shard worker panicked"))
                 .collect(),
         };
@@ -570,13 +586,13 @@ where
         Self::reduce(summaries)
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "every shard sampler is built from the one validated engine config, and try_with_factory rejects zero shards"
+    )]
     fn reduce(summaries: Vec<S::Summary>) -> S::Summary {
         S::Summary::merge_many(summaries)
-            // lint:allow(L1) every shard sampler is built from the one
-            // validated engine config, so the merge cannot mismatch
             .expect("shards share one configuration by construction")
-            // lint:allow(L1) try_new rejects zero shards, so the summary
-            // vec is never empty
             .expect("engine has at least one shard")
     }
 
@@ -621,6 +637,10 @@ where
     /// Runs `f` against every shard's sampler after every ingested item
     /// (batch buffers are flushed first, and the worker channels are
     /// FIFO), collecting the results in shard order.
+    #[expect(
+        clippy::expect_used,
+        reason = "recv fails only when the worker dropped the reply sender mid-request, i.e. it panicked"
+    )]
     fn inspect<T: Send + 'static>(
         &mut self,
         f: impl Fn(&mut S) -> T + Clone + Send + 'static,
@@ -644,8 +664,6 @@ where
         }
         pending
             .into_iter()
-            // lint:allow(L1) recv fails only when the worker dropped the
-            // reply sender mid-request, i.e. it panicked
             .map(|rx| rx.recv().expect("shard worker terminated"))
             .collect()
     }
@@ -750,13 +768,11 @@ where
             .into_iter()
             .map(S::try_from_state)
             .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .map(Some)
-            .collect::<Vec<_>>();
-        let mut engine = Self::try_with_factory(&chk.cfg, n_shards, |i| {
-            // lint:allow(L1) the vec holds exactly n_shards restored
-            // samplers and the factory visits each index once
-            samplers[i].take().expect("one restored sampler per shard")
+            .into_iter();
+        let mut engine = Self::try_with_factory(&chk.cfg, n_shards, |_| {
+            samplers.next().ok_or_else(|| {
+                RdsError::checkpoint("engine checkpoint holds fewer states than shards")
+            })
         })?;
         engine.batch_size = chk.batch_size;
         engine.seen = chk.seen;
@@ -903,14 +919,8 @@ impl ShardedEngine<RobustL0Sampler> {
         n_shards: usize,
         threshold: usize,
     ) -> Result<Self, RdsError> {
-        if threshold == 0 {
-            return Err(RdsError::InvalidThreshold);
-        }
         Self::try_with_factory(&cfg, n_shards, |_| {
             RobustL0Sampler::try_with_threshold(cfg.clone(), threshold)
-                // lint:allow(L1) threshold was just checked nonzero and
-                // the config came from the validating builder
-                .expect("configuration validated above")
         })
     }
 }
@@ -949,22 +959,8 @@ impl ShardedEngine<SlidingWindowSampler> {
         n_shards: usize,
         threshold: usize,
     ) -> Result<Self, RdsError> {
-        // Validate window + threshold once up front so the factory cannot
-        // panic (try_with_factory validates the config itself).
-        window.len().ok_or(RdsError::UnboundedWindow).and_then(|w| {
-            if w == 0 {
-                Err(RdsError::EmptyWindow)
-            } else if threshold == 0 {
-                Err(RdsError::InvalidThreshold)
-            } else {
-                Ok(())
-            }
-        })?;
         Self::try_with_factory(&cfg, n_shards, |_| {
             SlidingWindowSampler::try_with_threshold(cfg.clone(), window, threshold)
-                // lint:allow(L1) window and threshold were validated by
-                // the probe construction just above
-                .expect("window, threshold and configuration validated above")
         })
     }
 }

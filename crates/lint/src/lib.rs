@@ -1,6 +1,15 @@
-//! `rds-lint`: a workspace-aware static-analysis pass that mechanically
-//! enforces the repo's concurrency, durability and error-handling
-//! invariants (the ones PRs 3–5 established by convention).
+//! `rds-lint`: a workspace-aware static-analysis pass for the repo
+//! invariants clippy cannot express — indexing by literal on the serving
+//! path (L1), the fallible-construction contract (L4), the one
+//! checkpoint-error constructor (L5), lock-free publication (L6), the
+//! tenant registry's locking discipline (L9) and the allocation-free
+//! arrival path (L10).
+//!
+//! The rest of the invariants live in toolchain config: the root
+//! `clippy.toml` bans raw writes and ambient clocks
+//! (`disallowed_methods`, formerly L2/L3), and each serving crate root
+//! denies clippy's panic and truncating-cast lints (formerly L1's panic
+//! half, L7, L8 and L9's panic half). `tests/clippy_rules.rs` pins both.
 //!
 //! The crate is deliberately dependency-free: a hand-rolled Rust lexer
 //! ([`lexer`]) feeds a token-stream rule engine ([`rules`]) that knows
@@ -13,7 +22,9 @@
 //!
 //! Escape hatch: `// lint:allow(<rule>) <justification>` on the
 //! offending line or the line above suppresses one rule there; an empty
-//! justification invalidates the allow and is itself reported (L0).
+//! justification invalidates the allow and is itself reported (L0), as
+//! is an allow naming a rule that moved to clippy (those sites write
+//! `#[expect(<lint>, reason = "...")]`).
 
 pub mod lexer;
 pub mod report;

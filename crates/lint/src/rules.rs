@@ -1,11 +1,13 @@
-//! The rule engine: ten repo-specific lints over the lexed token
-//! stream, with `#[cfg(test)]`/`#[test]` region tracking and the
-//! `// lint:allow(<rule>) <justification>` escape hatch.
+//! The rule engine: the repo-specific lints clippy cannot express, run
+//! over the lexed token stream, with `#[cfg(test)]`/`#[test]` region
+//! tracking and the `// lint:allow(<rule>) <justification>` escape hatch.
 //!
 //! Every rule encodes an invariant a previous PR established by
 //! convention; the rule id, the invariant and the establishing PR are
 //! listed in [`RULES`] (and in the README's "Static analysis &
-//! invariants" section).
+//! invariants" section). The ids whose invariant clippy now enforces
+//! (L2, L3, L7, L8) stay in the catalog naming their replacement, so an
+//! allow comment aimed at one is reported instead of silently ignored.
 
 use crate::lexer::{lex, Comment, Token, TokenKind};
 
@@ -33,18 +35,19 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "L1",
-        "no .unwrap()/.expect()/panic!/unreachable!/indexing-by-literal in non-test \
-         rds-core/rds-engine/facade code (PR 3/4: typed errors on the serving path)",
+        "no indexing-by-literal (`xs[0]`) in non-test rds-core/rds-engine/facade/\
+         rds-server/rds-tenant code (the serving path never panics; clippy's \
+         indexing_slicing would flag every index, so this narrow form stays here)",
     ),
     (
         "L2",
-        "no std::fs::write/File::create/OpenOptions/fs::rename outside the blessed \
-         atomic-write helper (PR 5: checkpoint containers stay crash-atomic)",
+        "moved to clippy: clippy::disallowed_methods over std::fs::{write, rename}, \
+         File::create and OpenOptions::new (root clippy.toml)",
     ),
     (
         "L3",
-        "no Instant::now/SystemTime::now/ambient entropy in deterministic sampler or \
-         checkpoint code (PR 5: exact-PRNG-position restore)",
+        "moved to clippy: clippy::disallowed_methods over Instant::now and \
+         SystemTime::now (root clippy.toml); vendor/rand defines no entropy source",
     ),
     (
         "L4",
@@ -65,20 +68,19 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "L7",
-        "no lossy `as` casts of stamp/epoch/seen/word-accounting values to narrower \
-         integers (use try_into or a checked helper)",
+        "moved to clippy: clippy::cast_possible_truncation, denied in the rds-core, \
+         rds-engine, umbrella and rds-tenant crate roots",
     ),
     (
         "L8",
-        "no .unwrap()/.expect()/panic!/unreachable!/indexing-by-literal in non-test \
-         rds-server code (PR 8: a malformed request is a 4xx envelope, never a dead \
-         worker thread)",
+        "moved to clippy: clippy::{unwrap_used, expect_used, panic, unreachable, todo, \
+         unimplemented}, denied in every serving crate root (rds-server included)",
     ),
     (
         "L9",
-        "no spill/restore I/O while a registry-wide (map/ring) lock guard is live, and \
-         no panicking constructs in non-test rds-tenant code (PR 9: the tenant path \
-         stays lock-light and panic-free; only per-tenant slot locks may span I/O)",
+        "no spill/restore I/O while a registry-wide (map/ring) lock guard is live in \
+         non-test rds-tenant code (the tenant path stays lock-light; only \
+         per-tenant slot locks may span I/O)",
     ),
     (
         "L10",
@@ -89,10 +91,6 @@ pub const RULES: &[(&str, &str)] = &[
          buffers live on the sampler (the cell-indexed store's arrival contract)",
     ),
 ];
-
-/// The file blessed to contain raw filesystem writes: the atomic
-/// temp-file + rename helper every durable write must go through.
-pub const BLESSED_WRITE_MODULE: &str = "crates/core/src/persist.rs";
 
 /// The file blessed to construct `RdsError::Checkpoint` literally: the
 /// module defining `RdsError::checkpoint()`.
@@ -108,15 +106,9 @@ const LOCK_FREE_READ_TYPES: &[&str] = &[
     "SiteSummary",
 ];
 
-/// Identifier substrings marking clock/accounting values whose silent
-/// truncation corrupts windows, epochs or space metering.
-const PROTECTED_CAST_NAMES: &[&str] = &["stamp", "epoch", "seen", "word", "draw", "routed"];
-
-/// Integer targets an `as` cast can truncate into (u64 sources; `u64`,
-/// `u128`, `i128` and float targets are exempt).
-const NARROWING_INT_TYPES: &[&str] = &[
-    "u8", "u16", "u32", "i8", "i16", "i32", "i64", "usize", "isize",
-];
+/// Catalog descriptions of the ids whose invariant clippy now enforces
+/// start with this.
+const MOVED_TO_CLIPPY: &str = "moved to clippy";
 
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 const ASSERT_MACROS: &[&str] = &["assert", "assert_eq", "assert_ne"];
@@ -128,7 +120,6 @@ enum CrateKind {
     Core,
     Engine,
     Umbrella,
-    Cli,
     Server,
     Tenant,
     Other,
@@ -139,8 +130,6 @@ fn crate_kind(path: &str) -> CrateKind {
         CrateKind::Core
     } else if path.starts_with("crates/engine/") {
         CrateKind::Engine
-    } else if path.starts_with("crates/cli/") {
-        CrateKind::Cli
     } else if path.starts_with("crates/server/") {
         CrateKind::Server
     } else if path.starts_with("crates/tenant/") {
@@ -178,7 +167,8 @@ struct Allow {
     target_line: u32,
     comment_line: u32,
     justified: bool,
-    known: bool,
+    /// The catalog entry the allow names, if any.
+    known: Option<&'static str>,
 }
 
 fn parse_allows(comments: &[Comment], tokens: &[Token]) -> Vec<Allow> {
@@ -202,7 +192,10 @@ fn parse_allows(comments: &[Comment], tokens: &[Token]) -> Vec<Allow> {
                 .trim_start_matches([':', '-', ' '])
                 .trim_end_matches("*/")
                 .trim();
-            let known = RULES.iter().any(|(id, _)| *id == rule && *id != "L0");
+            let known = RULES
+                .iter()
+                .find(|(id, _)| *id == rule && *id != "L0")
+                .map(|(_, desc)| *desc);
             let target_line = if c.trailing {
                 c.line
             } else {
@@ -375,36 +368,11 @@ pub fn check_file(path: &str, source: &str) -> Vec<Finding> {
     };
 
     let lib_scope = !test_file;
-    let panic_scope =
-        lib_scope && matches!(kind, CrateKind::Core | CrateKind::Engine | CrateKind::Umbrella);
-    if panic_scope {
+    if lib_scope && kind != CrateKind::Other {
         rule_l1(&mut ctx);
-        rule_l3(&mut ctx);
-        rule_l7(&mut ctx);
-    }
-    if lib_scope && kind == CrateKind::Server {
-        rule_l8(&mut ctx);
     }
     if lib_scope && kind == CrateKind::Tenant {
         rule_l9(&mut ctx);
-        // the tenant path is deterministic (seeded per-tenant PRNGs,
-        // word accounting) — the clock/entropy and cast rules apply
-        rule_l3(&mut ctx);
-        rule_l7(&mut ctx);
-    }
-    if lib_scope
-        && matches!(
-            kind,
-            CrateKind::Core
-                | CrateKind::Engine
-                | CrateKind::Umbrella
-                | CrateKind::Cli
-                | CrateKind::Server
-                | CrateKind::Tenant
-        )
-        && path != BLESSED_WRITE_MODULE
-    {
-        rule_l2(&mut ctx);
     }
     if lib_scope && kind == CrateKind::Core {
         rule_l4(&mut ctx);
@@ -423,111 +391,66 @@ pub fn check_file(path: &str, source: &str) -> Vec<Finding> {
         .into_iter()
         .filter(|f| {
             !allows.iter().any(|a| {
-                a.known && a.justified && a.rule == f.rule && a.target_line == f.line
+                a.known.is_some() && a.justified && a.rule == f.rule && a.target_line == f.line
             })
         })
         .collect();
     for a in &allows {
-        if !a.known {
-            findings.push(Finding {
-                rule: "L0",
-                path: path.to_string(),
-                line: a.comment_line,
-                col: 1,
-                message: format!("lint:allow names unknown rule `{}`", a.rule),
-            });
-        } else if !a.justified {
-            findings.push(Finding {
-                rule: "L0",
-                path: path.to_string(),
-                line: a.comment_line,
-                col: 1,
-                message: format!(
-                    "lint:allow({}) needs a non-empty justification; the allow is ignored",
-                    a.rule
-                ),
-            });
-        }
+        let message = match a.known {
+            None => format!("lint:allow names unknown rule `{}`", a.rule),
+            Some(desc) if desc.starts_with(MOVED_TO_CLIPPY) => format!(
+                "lint:allow({}) suppresses nothing: the rule {desc}; write \
+                 #[expect(<lint>, reason = \"...\")] instead",
+                a.rule
+            ),
+            Some(_) if !a.justified => format!(
+                "lint:allow({}) needs a non-empty justification; the allow is ignored",
+                a.rule
+            ),
+            Some(_) => continue,
+        };
+        findings.push(Finding {
+            rule: "L0",
+            path: path.to_string(),
+            line: a.comment_line,
+            col: 1,
+            message,
+        });
     }
     findings.sort_by_key(|f| (f.line, f.col));
     findings
 }
-
-/// The shared panic-free scan behind L1 (core/engine/facade) and L8
-/// (rds-server): flags `.unwrap()`/`.expect()`, the aborting macros and
-/// indexing-by-literal, attributing each hit to `rule` with the
-/// rule-specific `remedy` clause.
-fn rule_panic_free(ctx: &mut Ctx<'_>, rule: &'static str, remedy: &str) {
+/// L1: indexing by an integer literal (`xs[0]`) panics on a shorter
+/// container; the serving path spells it `.get(0)` or `.first()`. The
+/// rest of the panic-free contract (`unwrap`, `expect`, the aborting
+/// macros) is clippy's, denied in each serving crate root.
+fn rule_l1(ctx: &mut Ctx<'_>) {
     let toks = ctx.tokens;
-    for i in 0..toks.len() {
-        if ctx.in_test[i] {
+    for i in 1..toks.len().saturating_sub(2) {
+        if ctx.in_test[i]
+            || !toks[i].is_punct("[")
+            || toks[i + 1].kind != TokenKind::Int
+            || !toks[i + 2].is_punct("]")
+        {
             continue;
         }
-        let t = &toks[i];
-        if t.kind == TokenKind::Ident {
-            let prev_dot = i > 0 && toks[i - 1].is_punct(".");
-            let next_paren = i + 1 < toks.len() && toks[i + 1].is_punct("(");
-            if prev_dot && next_paren && (t.text == "unwrap" || t.text == "expect") {
-                ctx.emit(
-                    rule,
-                    &toks[i].clone(),
-                    format!(".{}() can panic on the serving path; {remedy}", t.text),
-                );
-                continue;
-            }
-            let next_bang = i + 1 < toks.len() && toks[i + 1].is_punct("!");
-            if next_bang && PANIC_MACROS.contains(&t.text.as_str()) {
-                ctx.emit(
-                    rule,
-                    &toks[i].clone(),
-                    format!("{}! aborts the serving path; {remedy}", t.text),
-                );
-                continue;
-            }
-        }
-        // indexing by integer literal: `xs[0]`
-        if t.is_punct("[")
-            && i + 2 < toks.len()
-            && toks[i + 1].kind == TokenKind::Int
-            && toks[i + 2].is_punct("]")
-            && i > 0
-        {
-            let prev = &toks[i - 1];
-            let indexable = (prev.kind == TokenKind::Ident && !keyword_cannot_index(prev))
-                || prev.is_punct(")")
-                || prev.is_punct("]");
-            if indexable {
-                ctx.emit(
-                    rule,
-                    &toks[i + 1].clone(),
-                    format!(
-                        "indexing by literal `[{}]` panics when the container is shorter; \
-                         use .get({}) or .first()",
-                        toks[i + 1].text, toks[i + 1].text
-                    ),
-                );
-            }
+        let prev = &toks[i - 1];
+        let indexable = (prev.kind == TokenKind::Ident && !keyword_cannot_index(prev))
+            || prev.is_punct(")")
+            || prev.is_punct("]");
+        if indexable {
+            let lit = &toks[i + 1];
+            ctx.emit(
+                "L1",
+                &lit.clone(),
+                format!(
+                    "indexing by literal `[{0}]` panics when the container is shorter; \
+                     use .get({0}) or .first()",
+                    lit.text
+                ),
+            );
         }
     }
-}
-
-/// L1: panic-free serving path in core/engine/facade code.
-fn rule_l1(ctx: &mut Ctx<'_>) {
-    rule_panic_free(
-        ctx,
-        "L1",
-        "return a typed RdsError (or document the invariant with lint:allow(L1))",
-    );
-}
-
-/// L8: panic-free request handling in rds-server — a worker thread that
-/// dies on a malformed request takes every queued connection with it.
-fn rule_l8(ctx: &mut Ctx<'_>) {
-    rule_panic_free(
-        ctx,
-        "L8",
-        "answer a 4xx error envelope (or document the invariant with lint:allow(L8))",
-    );
 }
 
 /// Identifier substrings marking a registry-wide lock receiver: the
@@ -547,19 +470,13 @@ const SPILL_IO_CALLS: &[&str] = &[
     "ensure_resident",
 ];
 
-/// L9: the tenant registry's locking discipline. Panic-free serving
-/// path (shared scan with L1/L8), plus: a guard let-bound from
-/// `.lock()` on a map/ring/registry receiver must not have any
+/// L9: the tenant registry's locking discipline. A guard let-bound
+/// from `.lock()` on a map/ring/registry receiver must not have any
 /// spill/restore I/O call inside its live range (which ends at the
 /// enclosing block's close or an explicit `drop(guard)`). The scoped
 /// temporary form `{ self.map.lock().len() }` releases at the
 /// expression and is always fine.
 fn rule_l9(ctx: &mut Ctx<'_>) {
-    rule_panic_free(
-        ctx,
-        "L9",
-        "answer a typed RdsError (or document the invariant with lint:allow(L9))",
-    );
     let toks = ctx.tokens;
     for i in 0..toks.len() {
         if ctx.in_test[i] {
@@ -645,78 +562,6 @@ fn rule_l9(ctx: &mut Ctx<'_>) {
                 );
             }
             m += 1;
-        }
-    }
-}
-
-/// L2: all durable writes go through the blessed atomic helper.
-fn rule_l2(ctx: &mut Ctx<'_>) {
-    let toks = ctx.tokens;
-    for i in 0..toks.len() {
-        if ctx.in_test[i] {
-            continue;
-        }
-        let Some(window) = toks.get(i..i + 3) else { break };
-        if !window[1].is_punct("::") {
-            continue;
-        }
-        let pair = (window[0].text.as_str(), window[2].text.as_str());
-        let hit = matches!(
-            pair,
-            ("fs", "write") | ("fs", "rename") | ("File", "create") | ("OpenOptions", "new")
-        ) && window[0].kind == TokenKind::Ident
-            && window[2].kind == TokenKind::Ident;
-        if hit {
-            ctx.emit(
-                "L2",
-                &window[0].clone(),
-                format!(
-                    "raw `{}::{}` can destroy a good checkpoint on crash; write through \
-                     rds_core::persist (temp file + rename)",
-                    pair.0, pair.1
-                ),
-            );
-        }
-    }
-}
-
-/// L3: deterministic code paths take no ambient time or entropy.
-fn rule_l3(ctx: &mut Ctx<'_>) {
-    let toks = ctx.tokens;
-    for i in 0..toks.len() {
-        if ctx.in_test[i] {
-            continue;
-        }
-        let t = &toks[i];
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        let now_call = i + 2 < toks.len()
-            && toks[i + 1].is_punct("::")
-            && toks[i + 2].is_ident("now")
-            && (t.text == "Instant" || t.text == "SystemTime");
-        if now_call {
-            ctx.emit(
-                "L3",
-                &toks[i].clone(),
-                format!(
-                    "{}::now() makes restored runs diverge from the original; thread an \
-                     explicit Stamp through instead",
-                    t.text
-                ),
-            );
-            continue;
-        }
-        if matches!(t.text.as_str(), "thread_rng" | "from_entropy" | "OsRng" | "from_os_rng") {
-            ctx.emit(
-                "L3",
-                &toks[i].clone(),
-                format!(
-                    "`{}` is ambient entropy; every RNG must be seeded from the \
-                     SamplerConfig so exact-PRNG-position restore holds",
-                    t.text
-                ),
-            );
         }
     }
 }
@@ -1174,64 +1019,6 @@ fn rule_l10(ctx: &mut Ctx<'_>) {
             }
         }
         i = close + 1;
-    }
-}
-
-/// L7: clock/accounting values never truncate through `as`.
-fn rule_l7(ctx: &mut Ctx<'_>) {
-    let toks = ctx.tokens;
-    for i in 1..toks.len() {
-        if ctx.in_test[i] {
-            continue;
-        }
-        let cast = toks[i].is_ident("as")
-            && i + 1 < toks.len()
-            && toks[i + 1].kind == TokenKind::Ident
-            && NARROWING_INT_TYPES.contains(&toks[i + 1].text.as_str());
-        if !cast {
-            continue;
-        }
-        // the source expression's trailing identifier: `x.last_stamp as
-        // u32` or `self.words() as u32`
-        let mut j = i - 1;
-        if toks[j].is_punct(")") {
-            // step back over the call's argument list to the callee name
-            let mut depth = 0i32;
-            loop {
-                if toks[j].is_punct(")") {
-                    depth += 1;
-                } else if toks[j].is_punct("(") {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                if j == 0 {
-                    break;
-                }
-                j -= 1;
-            }
-            if j == 0 {
-                continue;
-            }
-            j -= 1;
-        }
-        let src = &toks[j];
-        if src.kind != TokenKind::Ident {
-            continue;
-        }
-        let lower = src.text.to_lowercase();
-        if PROTECTED_CAST_NAMES.iter().any(|p| lower.contains(p)) {
-            ctx.emit(
-                "L7",
-                &toks[i].clone(),
-                format!(
-                    "`{} as {}` silently truncates a clock/accounting value; use \
-                     u64::try_from or a checked helper",
-                    src.text, toks[i + 1].text
-                ),
-            );
-        }
     }
 }
 

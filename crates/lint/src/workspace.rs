@@ -3,8 +3,9 @@
 //! `Cargo.toml` so the scan and the build agree on what the workspace is.
 //!
 //! The vendored shims under `vendor/` are third-party API surface and are
-//! not held to the repo's invariants; `crates/lint/tests/fixtures/` holds
-//! deliberate violations and must never be scanned as library code.
+//! not held to the repo's invariants; `crates/lint/tests/fixtures/` and
+//! `crates/lint/clippy_fixture/` hold deliberate violations and must
+//! never be scanned as library code.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -47,6 +48,7 @@ fn is_excluded(rel: &str) -> bool {
         || rel.starts_with("target/")
         || rel.starts_with(".git/")
         || rel.starts_with("crates/lint/tests/fixtures/")
+        || rel.starts_with("crates/lint/clippy_fixture/")
 }
 
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) {

@@ -1,27 +1,17 @@
-// L1 fixture: panicking constructs in library code, plus the guards that
-// must NOT fire.
-
-pub fn bad_unwrap(v: Option<u32>) -> u32 {
-    v.unwrap()
-}
-
-pub fn bad_expect(v: Option<u32>) -> u32 {
-    v.expect("present")
-}
-
-pub fn bad_panic() {
-    panic!("boom");
-}
-
-pub fn bad_unreachable(x: u32) -> u32 {
-    match x {
-        0 => 1,
-        _ => unreachable!(),
-    }
-}
+// L1 fixture: indexing by literal in library code, plus the guards that
+// must NOT fire. (The rest of the panic-free contract is clippy's; see
+// crates/lint/clippy_fixture.)
 
 pub fn bad_index(xs: &[u32]) -> u32 {
     xs[0]
+}
+
+pub fn bad_index_after_call(parts: &str) -> &str {
+    parts.split(' ').collect::<Vec<_>>()[1]
+}
+
+pub fn bad_nested_index(grid: &[[u32; 2]]) -> u32 {
+    grid[0][1]
 }
 
 // guard: .get() is the sanctioned spelling
@@ -39,15 +29,17 @@ pub struct Buf {
     pub words: [u64; 4],
 }
 
+pub fn good_literal() -> [u32; 1] {
+    let xs = [0];
+    xs
+}
+
 #[cfg(test)]
 mod tests {
-    // guard: test regions may panic freely
+    // guard: test regions may index freely
     #[test]
-    fn in_tests_unwrap_is_fine() {
-        let v: Option<u32> = Some(1);
-        assert_eq!(v.unwrap(), 1);
+    fn in_tests_indexing_is_fine() {
         let xs = [1u32];
         assert_eq!(xs[0], 1);
-        panic!("even this");
     }
 }

@@ -1,5 +1,5 @@
-//! L9 fixture: spill/restore I/O under registry-wide lock guards, and
-//! the panic-free tenant serving path. Lines are load-bearing.
+//! L9 fixture: spill/restore I/O under registry-wide lock guards. Lines
+//! are load-bearing.
 
 fn io_under_a_map_guard(&self) {
     let mut map = self.map.lock();
@@ -36,15 +36,6 @@ fn guard_dies_with_its_block(&self) {
         let n = map.len();
     }
     ensure_resident(&entry, &mut slot);
-}
-
-fn panics_on_the_tenant_path(x: Option<u64>) -> u64 {
-    x.unwrap()
-}
-
-fn documented_invariant(x: Option<u64>) -> u64 {
-    // lint:allow(L9) infallible by construction: x is Some on this path
-    x.expect("infallible")
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
-//! Fixture-driven integration tests: every rule gets at least one true
-//! positive and one false-positive guard, the allow comment gets its
-//! full matrix, and the lexer edge cases prove strings/comments/test
-//! regions never leak findings.
+//! Fixture-driven integration tests: every rds-lint rule gets at least
+//! one true positive and one false-positive guard, the allow comment
+//! gets its full matrix, and the lexer edge cases prove strings,
+//! comments and test regions never leak findings. The rules that moved
+//! to clippy are pinned by `clippy_rules.rs`.
 
 use rds_lint::{check_file, Finding};
 
@@ -26,57 +27,49 @@ fn lines_of(findings: &[Finding], rule: &str) -> Vec<u32> {
 const CORE_PATH: &str = "crates/core/src/fixture_under_test.rs";
 
 #[test]
-fn l1_flags_panicking_constructs_and_spares_the_guards() {
+fn l1_flags_indexing_by_literal_and_spares_the_guards() {
     let f = scan_as("l1_cases.rs", CORE_PATH);
-    assert_eq!(
-        lines_of(&f, "L1"),
-        vec![5, 9, 13, 19, 24],
-        "unwrap/expect/panic!/unreachable!/xs[0]: {f:?}"
-    );
+    // xs[0], a call result's [1], and both subscripts of grid[0][1]
+    assert_eq!(lines_of(&f, "L1"), vec![6, 10, 14, 14], "{f:?}");
     // nothing else fires: the .get(0), the pattern, the array type and
-    // the whole #[cfg(test)] mod are guards
-    assert_eq!(f.len(), 5, "{f:?}");
+    // literal, and the whole #[cfg(test)] mod are guards
+    assert_eq!(f.len(), 4, "{f:?}");
+    assert!(f.iter().all(|x| x.message.contains(".get(")), "{f:?}");
 }
 
 #[test]
-fn l1_is_scoped_to_core_engine_and_facade() {
+fn l1_is_scoped_to_the_serving_crates() {
     // same content in a non-serving crate or a test tree: silent
     assert!(scan_as("l1_cases.rs", "crates/hashing/src/lib.rs").is_empty());
+    assert!(scan_as("l1_cases.rs", "crates/cli/src/lib.rs").is_empty());
     assert!(scan_as("l1_cases.rs", "tests/integration.rs").is_empty());
     assert!(scan_as("l1_cases.rs", "crates/core/benches/speed.rs").is_empty());
-    // ... but the engine and the umbrella facade are serving paths
-    assert_eq!(lines_of(&scan_as("l1_cases.rs", "crates/engine/src/lib.rs"), "L1").len(), 5);
-    assert_eq!(lines_of(&scan_as("l1_cases.rs", "src/facade.rs"), "L1").len(), 5);
+    assert!(scan_as("l1_cases.rs", "crates/server/tests/http_robustness.rs").is_empty());
+    // ... but the engine, the facade, the server and the tenant registry
+    // are serving paths
+    for path in [
+        "crates/engine/src/lib.rs",
+        "src/facade.rs",
+        "crates/server/src/handlers/ingest.rs",
+        "crates/tenant/src/registry.rs",
+    ] {
+        assert_eq!(lines_of(&scan_as("l1_cases.rs", path), "L1").len(), 4, "{path}");
+    }
 }
 
 #[test]
 fn allow_comments_suppress_bind_and_misfire_exactly_as_specified() {
-    let f = scan_as("l1_allow_cases.rs", CORE_PATH);
+    let f = scan_as("allow_cases.rs", CORE_PATH);
     // trailing, standalone and multi-line-standalone allows suppress
     // their target; the empty-justification and unknown-rule allows are
     // themselves L0 findings AND leave the violation standing; an allow
-    // for the wrong rule suppresses nothing
-    assert_eq!(lines_of(&f, "L0"), vec![20, 25], "{f:?}");
+    // for the wrong rule suppresses nothing; an allow naming a rule that
+    // moved to clippy is an L0 finding pointing at #[expect]
+    assert_eq!(lines_of(&f, "L0"), vec![20, 25, 35], "{f:?}");
     assert_eq!(lines_of(&f, "L1"), vec![21, 26, 31], "{f:?}");
-    assert_eq!(f.len(), 5, "{f:?}");
-}
-
-#[test]
-fn l2_flags_raw_writes_everywhere_but_the_blessed_module() {
-    let f = scan_as("l2_cases.rs", CORE_PATH);
-    assert_eq!(lines_of(&f, "L2"), vec![7, 11, 15, 19], "{f:?}");
-    // the CLI is in scope for L2 even though it is exempt from L1
-    assert_eq!(lines_of(&scan_as("l2_cases.rs", "crates/cli/src/lib.rs"), "L2").len(), 4);
-    // the blessed atomic-write helper is the one file allowed to do this
-    assert!(scan_as("l2_cases.rs", "crates/core/src/persist.rs").is_empty());
-}
-
-#[test]
-fn l3_flags_ambient_time_and_entropy() {
-    let f = scan_as("l3_cases.rs", CORE_PATH);
-    assert_eq!(lines_of(&f, "L3"), vec![6, 10, 14, 19], "{f:?}");
-    // seeded RNGs, our own clock type and test timing are guards
-    assert_eq!(f.len(), 4, "{f:?}");
+    assert_eq!(f.len(), 6, "{f:?}");
+    let moved = f.iter().find(|x| x.line == 35).map(|x| x.message.as_str());
+    assert!(moved.is_some_and(|m| m.contains("#[expect(")), "{f:?}");
 }
 
 #[test]
@@ -115,74 +108,25 @@ fn l6_flags_locks_in_frozen_impls_and_the_publication_path() {
 }
 
 #[test]
-fn l7_flags_narrowing_casts_of_protected_names_only() {
-    let f = scan_as("l7_cases.rs", CORE_PATH);
-    assert_eq!(lines_of(&f, "L7"), vec![4, 8, 12, 16], "{f:?}");
-    // widening, float conversion and unprotected names are guards
-    assert_eq!(f.len(), 4, "{f:?}");
-}
-
-#[test]
-fn l8_flags_panicking_constructs_on_the_server_request_path() {
-    let f = scan_as("l8_cases.rs", "crates/server/src/handlers/ingest.rs");
-    assert_eq!(lines_of(&f, "L8"), vec![5, 9, 13, 17], "{f:?}");
-    // the allow comment, the .get() spelling and the test mod are guards
-    assert_eq!(f.len(), 4, "{f:?}");
-    // the remedy clause names the envelope contract, not RdsError
-    assert!(
-        f.iter()
-            .filter(|x| x.line != 17) // the indexing message is rule-neutral
-            .all(|x| x.message.contains("4xx error envelope")),
-        "{f:?}"
-    );
-}
-
-#[test]
-fn l8_is_scoped_to_the_server_crate_and_l1_stays_off_it() {
-    // the same content elsewhere is L1 territory (or silent), never L8
-    assert!(lines_of(&scan_as("l8_cases.rs", CORE_PATH), "L8").is_empty());
-    assert!(scan_as("l8_cases.rs", "crates/hashing/src/lib.rs").is_empty());
-    // server test trees and the http robustness suite may panic freely
-    assert!(scan_as("l8_cases.rs", "crates/server/tests/http_robustness.rs").is_empty());
-    // L1 does not double-report the server crate
-    let server = scan_as("l1_cases.rs", "crates/server/src/http.rs");
-    assert!(lines_of(&server, "L1").is_empty(), "{server:?}");
-    assert_eq!(lines_of(&server, "L8").len(), 5, "{server:?}");
-}
-
-#[test]
-fn l9_flags_spill_io_under_registry_wide_guards_and_tenant_panics() {
+fn l9_flags_spill_io_under_registry_wide_guards() {
     let f = scan_as("l9_cases.rs", "crates/tenant/src/registry.rs");
     // 7: write_container under the map guard; 13: spill_slot under the
-    // ring guard; 42: .unwrap() on the tenant path. Guards: I/O after
-    // drop(guard), outside a scoped temporary, under a per-tenant slot
-    // lock, after the guard's block closes, the allow'd expect and the
-    // test mod.
-    assert_eq!(lines_of(&f, "L9"), vec![7, 13, 42], "{f:?}");
-    assert_eq!(f.len(), 3, "{f:?}");
+    // ring guard. Guards: I/O after drop(guard), outside a scoped
+    // temporary, under a per-tenant slot lock, after the guard's block
+    // closes, and the test mod.
+    assert_eq!(lines_of(&f, "L9"), vec![7, 13], "{f:?}");
+    assert_eq!(f.len(), 2, "{f:?}");
     // the lock-discipline message names the remedy
-    assert!(
-        f.iter()
-            .filter(|x| x.line != 42)
-            .all(|x| x.message.contains("drop the guard")),
-        "{f:?}"
-    );
+    assert!(f.iter().all(|x| x.message.contains("drop the guard")), "{f:?}");
 }
 
 #[test]
 fn l9_is_scoped_to_the_tenant_crate() {
-    // the same content in core is L1 territory (the two panics), never L9
-    let core = scan_as("l9_cases.rs", CORE_PATH);
-    assert!(lines_of(&core, "L9").is_empty(), "{core:?}");
-    assert_eq!(lines_of(&core, "L1"), vec![42, 47], "{core:?}");
-    // tenant test trees and unrelated crates stay silent
+    // the same content in core, in tenant test trees or in unrelated
+    // crates stays silent
+    assert!(scan_as("l9_cases.rs", CORE_PATH).is_empty());
     assert!(scan_as("l9_cases.rs", "crates/tenant/tests/registry.rs").is_empty());
     assert!(scan_as("l9_cases.rs", "crates/hashing/src/lib.rs").is_empty());
-    // L1/L8 do not double-report the tenant crate
-    let tenant = scan_as("l1_cases.rs", "crates/tenant/src/registry.rs");
-    assert!(lines_of(&tenant, "L1").is_empty(), "{tenant:?}");
-    assert!(lines_of(&tenant, "L8").is_empty(), "{tenant:?}");
-    assert_eq!(lines_of(&tenant, "L9").len(), 5, "{tenant:?}");
 }
 
 #[test]
@@ -231,33 +175,14 @@ fn l10_is_scoped_to_core_library_code() {
 }
 
 #[test]
-fn l2_covers_the_tenant_crate() {
-    // raw writes in the tenant crate would bypass the atomic helper the
-    // spill containers depend on
-    assert_eq!(
-        lines_of(&scan_as("l2_cases.rs", "crates/tenant/src/spill.rs"), "L2").len(),
-        4
-    );
-}
-
-#[test]
-fn l2_covers_the_server_crate() {
-    // a server handler writing raw files would bypass the atomic helper
-    assert_eq!(
-        lines_of(&scan_as("l2_cases.rs", "crates/server/src/handlers/admin.rs"), "L2").len(),
-        4
-    );
-}
-
-#[test]
 fn lexer_edges_hide_everything_except_the_live_violation() {
     let f = scan_as("lexer_edges.rs", CORE_PATH);
     // raw/nested-raw/byte strings, block comments, lifetimes, char
     // literals, raw identifiers and the test mod all stay silent; the
-    // unwrap under the multi-line attribute is the one real finding
+    // indexing under the multi-line attribute is the one real finding
     assert_eq!(f.len(), 1, "{f:?}");
     assert_eq!(f[0].rule, "L1");
-    assert_eq!(f[0].line, 54);
+    assert_eq!(f[0].line, 56);
 }
 
 #[test]
@@ -265,13 +190,13 @@ fn fixture_paths_are_exempt_wholesale() {
     // the fixtures directory itself is never scanned as library code
     for name in [
         "l1_cases.rs",
-        "l2_cases.rs",
-        "l3_cases.rs",
+        "l4_missing_sibling.rs",
         "l5_cases.rs",
-        "l7_cases.rs",
+        "l6_cases.rs",
         "l9_cases.rs",
         "l10_cases.rs",
         "l10_adjacency_tp.rs",
+        "lexer_edges.rs",
     ] {
         let path = format!("crates/lint/tests/fixtures/{name}");
         assert!(scan_as(name, &path).is_empty(), "{name} leaked findings");
@@ -283,9 +208,9 @@ fn findings_render_as_file_line_col_diagnostics() {
     let f = scan_as("l1_cases.rs", CORE_PATH);
     let text = rds_lint::report::render_text(&f);
     assert!(
-        text.lines().next().unwrap_or_default().starts_with("crates/core/src/fixture_under_test.rs:5:"),
+        text.lines().next().unwrap_or_default().starts_with("crates/core/src/fixture_under_test.rs:6:"),
         "{text}"
     );
-    let json = rds_lint::report::render_json("/root/repo", 1, &f);
-    assert!(json.contains("\"finding_count\": 5"), "{json}");
+    let json = rds_lint::report::render_json("/repo", 1, &f);
+    assert!(json.contains("\"finding_count\": 4"), "{json}");
 }

@@ -4,8 +4,8 @@
 //! HttpError>`: reads answer from the worker's lock-free snapshot
 //! pointer, writes submit a command to the single writer thread and
 //! block on its reply. Nothing on this path may panic — a malformed
-//! request is a 4xx envelope, never a dead worker (lint rule L8
-//! machine-checks this).
+//! request is a 4xx envelope, never a dead worker (the crate root denies
+//! clippy's panic lints, which machine-check this).
 
 pub(crate) mod admin;
 pub(crate) mod ingest;
@@ -135,8 +135,8 @@ where
 }
 
 /// Serves one connection until it closes: keep-alive loop, per-request
-/// `catch_unwind` (belt and braces under L8 — a handler bug answers
-/// 500 instead of killing the worker thread).
+/// `catch_unwind` (belt and braces under the clippy panic lints — a
+/// handler bug answers 500 instead of killing the worker thread).
 pub(crate) fn handle_connection(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(shared.read_timeout_ms.max(1))));
     let _ = stream.set_nodelay(true);

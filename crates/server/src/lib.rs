@@ -26,9 +26,21 @@
 //!
 //! Every failure is an envelope `{"error":{"code","message"}}` — see
 //! [`api_types`]. Malformed requests are 4xx, never a dead thread:
-//! lint rule L8 bans `unwrap`/`expect`/panics from this whole crate's
-//! serving path, and the connection loop adds `catch_unwind` as belt
-//! and braces.
+//! the crate root denies clippy's `unwrap_used`, `expect_used` and
+//! panicking-macro lints on this whole crate's serving path, and the
+//! connection loop adds `catch_unwind` as belt and braces.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+    )
+)]
 
 pub mod api_types;
 pub mod client;

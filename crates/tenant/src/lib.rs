@@ -29,6 +29,18 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::cast_possible_truncation,
+    )
+)]
 
 mod registry;
 pub mod spill;

@@ -3,10 +3,10 @@
 //! An evicted tenant's state leaves memory as exactly the checkpoint
 //! container the rest of the workspace already writes (`rds-checkpoint`
 //! magic, format version, FNV-1a checksum over the canonical payload
-//! bytes — see `WriterCheckpoint::to_container_json`), landed with
-//! [`rds_core::persist::write_atomic`] so a crash mid-spill can never
-//! destroy the previous good container: the incomplete write stays on a
-//! temp sibling and the rename is the commit.
+//! bytes, through the facade's `seal_container`/`open_container` codec),
+//! landed with [`rds_core::persist::write_atomic`] so a crash mid-spill
+//! can never destroy the previous good container: the incomplete write
+//! stays on a temp sibling and the rename is the commit.
 //!
 //! Containers live under `spill_dir/{hh}/{id}.chk` where `hh` is the low
 //! byte of `fnv1a64(id)` in hex — 256 shard directories, so a million
@@ -22,7 +22,7 @@
 //! `KWithReplacementSampler`) — not just the two the facade hosts.
 
 use rds_core::{Checkpointable, RdsError};
-use robust_distinct_sampling::{fnv1a64, CHECKPOINT_FORMAT_VERSION, CHECKPOINT_MAGIC};
+use robust_distinct_sampling::{fnv1a64, open_container, seal_container};
 use serde::Deserialize;
 use std::path::{Path, PathBuf};
 
@@ -77,21 +77,10 @@ pub fn read_container(spill_dir: &Path, id: &str) -> Result<Option<String>, RdsE
 }
 
 /// Seals any [`Checkpointable`] sampler's state into a checkpoint
-/// container string — same magic, version and checksum discipline as the
-/// facade's writer containers, so a mixed-up file fails loudly instead
-/// of parsing.
+/// container string — the facade's [`seal_container`], so a mixed-up
+/// file fails loudly instead of parsing.
 pub fn seal_state<S: Checkpointable>(sampler: &S) -> String {
-    let payload_json =
-        // lint:allow(L9) serializing an in-memory Value tree has no I/O
-        // and no unrepresentable cases; it cannot fail
-        serde_json::to_string(&sampler.checkpoint_state()).expect("value serialization is infallible");
-    let checksum = fnv1a64(payload_json.as_bytes());
-    format!(
-        "{{\"magic\":\"{CHECKPOINT_MAGIC}\",\
-         \"version\":{CHECKPOINT_FORMAT_VERSION},\
-         \"checksum\":{checksum},\
-         \"payload\":{payload_json}}}"
-    )
+    seal_container(&sampler.checkpoint_state())
 }
 
 /// Verifies and reopens a container written by [`seal_state`], restoring
@@ -99,65 +88,12 @@ pub fn seal_state<S: Checkpointable>(sampler: &S) -> String {
 ///
 /// # Errors
 ///
-/// [`RdsError::Checkpoint`] naming what failed: unparseable JSON, bad
-/// magic, unsupported version, checksum mismatch, malformed state, or a
-/// state the sampler family rejects.
+/// [`RdsError::Checkpoint`] naming what failed: any [`open_container`]
+/// failure, a malformed state, or a state the sampler family rejects.
 pub fn open_state<S: Checkpointable>(text: &str) -> Result<S, RdsError> {
-    let payload = verify_container(text)?;
-    let state = S::State::from_value(&payload)
-        .map_err(|e| RdsError::checkpoint(format!("malformed spill payload: {e}")))?;
+    let state = open_container(text, |payload| {
+        S::State::from_value(payload)
+            .map_err(|e| RdsError::checkpoint(format!("malformed spill payload: {e}")))
+    })?;
     S::try_from_state(state)
-}
-
-/// Checks a container's magic, format version and checksum, returning
-/// the verified payload value.
-fn verify_container(text: &str) -> Result<serde::Value, RdsError> {
-    let container: serde::Value = serde_json::from_str(text)
-        .map_err(|e| RdsError::checkpoint(format!("not a valid JSON container: {e}")))?;
-    match container.get("magic") {
-        Some(serde::Value::Str(m)) if m == CHECKPOINT_MAGIC => {}
-        Some(serde::Value::Str(m)) => {
-            return Err(RdsError::checkpoint(format!(
-                "bad magic `{m}` (expected `{CHECKPOINT_MAGIC}`)"
-            )))
-        }
-        _ => {
-            return Err(RdsError::checkpoint(format!(
-                "missing magic (expected `{CHECKPOINT_MAGIC}`) — not a checkpoint file?"
-            )))
-        }
-    }
-    let version = container
-        .get("version")
-        .map(u64::from_value)
-        .transpose()
-        .map_err(|e| RdsError::checkpoint(format!("bad version field: {e}")))?
-        .ok_or_else(|| RdsError::checkpoint("missing format version"))?;
-    if version != CHECKPOINT_FORMAT_VERSION {
-        return Err(RdsError::checkpoint(format!(
-            "unsupported format version {version} (this build reads \
-             version {CHECKPOINT_FORMAT_VERSION})"
-        )));
-    }
-    let expected = container
-        .get("checksum")
-        .map(u64::from_value)
-        .transpose()
-        .map_err(|e| RdsError::checkpoint(format!("bad checksum field: {e}")))?
-        .ok_or_else(|| RdsError::checkpoint("missing checksum"))?;
-    let payload = container
-        .get("payload")
-        .ok_or_else(|| RdsError::checkpoint("missing payload"))?;
-    let payload_json =
-        // lint:allow(L9) serializing an in-memory Value tree has no I/O
-        // and no unrepresentable cases; it cannot fail
-        serde_json::to_string(payload).expect("value serialization is infallible");
-    let actual = fnv1a64(payload_json.as_bytes());
-    if actual != expected {
-        return Err(RdsError::checkpoint(format!(
-            "checksum mismatch (stored {expected:#018x}, computed {actual:#018x}) — \
-             the payload was truncated or altered"
-        )));
-    }
-    Ok(payload.clone())
 }

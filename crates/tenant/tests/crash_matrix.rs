@@ -30,6 +30,10 @@ fn batch(salt: u64, n: u64) -> Vec<Point> {
 /// expressed as what the next process finds on disk next to the good
 /// container written by a completed earlier spill.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test tears a spill write on purpose"
+)]
 fn kill_mid_spill_never_loses_the_previous_good_container() {
     let control = TenantRegistry::new(template(), usize::MAX, scratch("ctl")).unwrap();
     control.ingest("t", &batch(0, 40), None).unwrap();
@@ -73,6 +77,10 @@ fn kill_mid_spill_never_loses_the_previous_good_container() {
 /// typed error — the registry refuses to resurrect a damaged tenant
 /// rather than silently restarting it empty.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test corrupts a spill container on purpose"
+)]
 fn corrupted_container_is_a_typed_error_not_a_silent_reset() {
     let dir = scratch("corrupt");
     {
@@ -99,6 +107,10 @@ fn corrupted_container_is_a_typed_error_not_a_silent_reset() {
 /// serviceable (the sweep stops; the registry runs over budget rather
 /// than dropping data).
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test squats the spill shard path with a file on purpose"
+)]
 fn failed_spill_leaves_the_victim_resident_and_correct() {
     let dir = scratch("rofail");
     let reg = TenantRegistry::new(template(), usize::MAX, &dir).unwrap();

@@ -349,6 +349,92 @@ pub const CHECKPOINT_MAGIC: &str = "rds-checkpoint";
 /// The checkpoint container format version this build writes and reads.
 pub const CHECKPOINT_FORMAT_VERSION: u64 = 1;
 
+/// Seals `payload` into a checkpoint container: [`CHECKPOINT_MAGIC`],
+/// [`CHECKPOINT_FORMAT_VERSION`] and the [`fnv1a64`] checksum of the
+/// payload's canonical JSON. Every container in the family (writer
+/// checkpoints, tenant spill containers) goes through this one codec.
+#[expect(
+    clippy::expect_used,
+    reason = "serializing an in-memory Value tree has no I/O and no unrepresentable cases; it cannot fail"
+)]
+pub fn seal_container<T: Serialize + ?Sized>(payload: &T) -> String {
+    let payload_json = serde_json::to_string(payload).expect("value serialization is infallible");
+    let checksum = fnv1a64(payload_json.as_bytes());
+    // Splice the payload text instead of re-serializing the tree: the
+    // payload is by far the largest JSON this library produces, and
+    // splicing guarantees the checksummed bytes ARE the stored bytes.
+    // The spliced string is byte-identical to serializing the whole
+    // container Value (compact writer, declaration-ordered keys) —
+    // `container_json_round_trips_the_checkpoint` pins that down.
+    format!(
+        "{{\"magic\":\"{CHECKPOINT_MAGIC}\",\
+         \"version\":{CHECKPOINT_FORMAT_VERSION},\
+         \"checksum\":{checksum},\
+         \"payload\":{payload_json}}}"
+    )
+}
+
+/// Verifies a container produced by [`seal_container`] — magic, format
+/// version, checksum — and hands the verified payload to `decode`.
+///
+/// # Errors
+///
+/// [`RdsError::Checkpoint`] naming what failed: unparseable JSON, a
+/// missing or wrong magic, an unsupported format version, or a checksum
+/// mismatch (truncated or bit-rotted payload); otherwise whatever
+/// `decode` returns.
+pub fn open_container<T>(
+    text: &str,
+    decode: impl FnOnce(&serde::Value) -> Result<T, RdsError>,
+) -> Result<T, RdsError> {
+    let container: serde::Value = serde_json::from_str(text)
+        .map_err(|e| checkpoint_err(format!("not a valid JSON container: {e}")))?;
+    match container.get("magic") {
+        Some(serde::Value::Str(m)) if m == CHECKPOINT_MAGIC => {}
+        Some(serde::Value::Str(m)) => {
+            return Err(checkpoint_err(format!(
+                "bad magic `{m}` (expected `{CHECKPOINT_MAGIC}`)"
+            )))
+        }
+        _ => {
+            return Err(checkpoint_err(format!(
+                "missing magic (expected `{CHECKPOINT_MAGIC}`) — not a checkpoint file?"
+            )))
+        }
+    }
+    let version = container
+        .get("version")
+        .map(u64::from_value)
+        .transpose()
+        .map_err(|e| checkpoint_err(format!("bad version field: {e}")))?
+        .ok_or_else(|| checkpoint_err("missing format version"))?;
+    if version != CHECKPOINT_FORMAT_VERSION {
+        return Err(checkpoint_err(format!(
+            "unsupported format version {version} (this build reads \
+             version {CHECKPOINT_FORMAT_VERSION})"
+        )));
+    }
+    let expected = container
+        .get("checksum")
+        .map(u64::from_value)
+        .transpose()
+        .map_err(|e| checkpoint_err(format!("bad checksum field: {e}")))?
+        .ok_or_else(|| checkpoint_err("missing checksum"))?;
+    let payload = container
+        .get("payload")
+        .ok_or_else(|| checkpoint_err("missing payload"))?;
+    let payload_json = serde_json::to_string(payload)
+        .map_err(|e| checkpoint_err(format!("payload does not re-serialize: {e}")))?;
+    let actual = fnv1a64(payload_json.as_bytes());
+    if actual != expected {
+        return Err(checkpoint_err(format!(
+            "checksum mismatch (stored {expected:#018x}, computed {actual:#018x}) — \
+             the payload was truncated or altered"
+        )));
+    }
+    decode(payload)
+}
+
 /// The backend's full state inside a [`WriterCheckpoint`] — one wire
 /// kind per (window, sharding) combination: a one-shard writer stores
 /// its bare sampler state, a sharded one the engine checkpoint.
@@ -462,25 +548,9 @@ impl WriterCheckpoint {
     }
 
     /// Serializes the checkpoint into the versioned, checksummed JSON
-    /// container format.
+    /// container format ([`seal_container`]).
     pub fn to_container_json(&self) -> String {
-        let payload_json =
-            // lint:allow(L1) serializing an in-memory Value tree has no
-            // I/O and no unrepresentable cases; it cannot fail
-            serde_json::to_string(&self.to_value()).expect("value serialization is infallible");
-        let checksum = fnv1a64(payload_json.as_bytes());
-        // Splice the payload text instead of re-serializing the tree: the
-        // payload is by far the largest JSON this library produces, and
-        // splicing guarantees the checksummed bytes ARE the stored bytes.
-        // The spliced string is byte-identical to serializing the whole
-        // container Value (compact writer, declaration-ordered keys) —
-        // `container_json_round_trips_the_checkpoint` pins that down.
-        format!(
-            "{{\"magic\":\"{CHECKPOINT_MAGIC}\",\
-             \"version\":{CHECKPOINT_FORMAT_VERSION},\
-             \"checksum\":{checksum},\
-             \"payload\":{payload_json}}}"
-        )
+        seal_container(self)
     }
 
     /// Parses and verifies a container produced by
@@ -488,60 +558,13 @@ impl WriterCheckpoint {
     ///
     /// # Errors
     ///
-    /// [`RdsError::Checkpoint`] naming what failed: unparseable JSON, a
-    /// missing or wrong magic, an unsupported format version, a checksum
-    /// mismatch (truncated or bit-rotted payload), or a malformed
-    /// payload.
+    /// [`RdsError::Checkpoint`] naming what failed: any
+    /// [`open_container`] failure, or a malformed payload.
     pub fn from_container_json(text: &str) -> Result<Self, RdsError> {
-        let container: serde::Value = serde_json::from_str(text)
-            .map_err(|e| checkpoint_err(format!("not a valid JSON container: {e}")))?;
-        match container.get("magic") {
-            Some(serde::Value::Str(m)) if m == CHECKPOINT_MAGIC => {}
-            Some(serde::Value::Str(m)) => {
-                return Err(checkpoint_err(format!(
-                    "bad magic `{m}` (expected `{CHECKPOINT_MAGIC}`)"
-                )))
-            }
-            _ => {
-                return Err(checkpoint_err(format!(
-                    "missing magic (expected `{CHECKPOINT_MAGIC}`) — not a checkpoint file?"
-                )))
-            }
-        }
-        let version = container
-            .get("version")
-            .map(u64::from_value)
-            .transpose()
-            .map_err(|e| checkpoint_err(format!("bad version field: {e}")))?
-            .ok_or_else(|| checkpoint_err("missing format version"))?;
-        if version != CHECKPOINT_FORMAT_VERSION {
-            return Err(checkpoint_err(format!(
-                "unsupported format version {version} (this build reads \
-                 version {CHECKPOINT_FORMAT_VERSION})"
-            )));
-        }
-        let expected = container
-            .get("checksum")
-            .map(u64::from_value)
-            .transpose()
-            .map_err(|e| checkpoint_err(format!("bad checksum field: {e}")))?
-            .ok_or_else(|| checkpoint_err("missing checksum"))?;
-        let payload = container
-            .get("payload")
-            .ok_or_else(|| checkpoint_err("missing payload"))?;
-        let payload_json =
-            // lint:allow(L1) serializing an in-memory Value tree has no
-            // I/O and no unrepresentable cases; it cannot fail
-            serde_json::to_string(payload).expect("value serialization is infallible");
-        let actual = fnv1a64(payload_json.as_bytes());
-        if actual != expected {
-            return Err(checkpoint_err(format!(
-                "checksum mismatch (stored {expected:#018x}, computed {actual:#018x}) — \
-                 the payload was truncated or altered"
-            )));
-        }
-        WriterCheckpoint::from_value(payload)
-            .map_err(|e| checkpoint_err(format!("malformed payload: {e}")))
+        open_container(text, |payload| {
+            WriterCheckpoint::from_value(payload)
+                .map_err(|e| checkpoint_err(format!("malformed payload: {e}")))
+        })
     }
 
     /// Rebuilds the family-`S` engine the backend state describes, after
@@ -1083,6 +1106,10 @@ impl RdsBuilder {
             b = b.kappa0(kappa0);
         }
         let cfg = b.build()?;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "float-to-int `as` saturates; eps in (0, 1] keeps kappa_B / eps^2 a small count"
+        )]
         let threshold = match self.eps {
             Some(eps) => {
                 if !(eps > 0.0 && eps <= 1.0) {

@@ -63,12 +63,25 @@
 //! [`core::RdsError::Checkpoint`].
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::cast_possible_truncation,
+    )
+)]
 
 mod facade;
 
 pub use facade::{
-    fnv1a64, PublishCadence, Rds, RdsBuilder, RdsReader, RdsWriter, Snapshot, WriterCheckpoint,
-    CHECKPOINT_FORMAT_VERSION, CHECKPOINT_MAGIC, DEFAULT_PUBLISH_EVERY,
+    fnv1a64, open_container, seal_container, PublishCadence, Rds, RdsBuilder, RdsReader,
+    RdsWriter, Snapshot, WriterCheckpoint, CHECKPOINT_FORMAT_VERSION, CHECKPOINT_MAGIC,
+    DEFAULT_PUBLISH_EVERY,
 };
 
 pub use rds_baselines as baselines;

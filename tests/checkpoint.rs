@@ -196,6 +196,10 @@ fn restore_with_mismatched_config_is_a_typed_error() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test plants damaged checkpoint files on purpose"
+)]
 fn damaged_checkpoint_files_are_typed_errors_never_panics() {
     let dir = std::env::temp_dir().join(format!("rds-damaged-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
