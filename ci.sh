@@ -89,6 +89,9 @@ EOF
 echo "==> concurrent writer/reader stress suite (--release)"
 cargo test -q --release --test concurrent_split
 
+echo "==> window oracle: uniformity and F0 against the exact live entities (--release)"
+cargo test -q --release --test uniformity
+
 echo "==> checkpoint crash-recovery + round-trip property suites (--release)"
 cargo test -q --release --test checkpoint --test checkpoint_props
 

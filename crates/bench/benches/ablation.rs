@@ -1,4 +1,4 @@
-//! Ablations of the design choices documented in DESIGN.md:
+//! Ablations of the sampler's tunable design choices:
 //!
 //! * grid side factor (`alpha` vs `2 alpha` vs the Section 4 `d * alpha`);
 //! * acceptance threshold constant `kappa_0` (space/time trade-off);

@@ -1,4 +1,4 @@
-//! Throughput of the hierarchical sliding-window sampler (Algorithm 3) as
+//! Throughput of the capped-level sliding-window sampler as
 //! a function of the window size — the `O(log w log m)` claim of
 //! Theorem 2.7 predicts a mild growth.
 

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Levels beyond 63 cannot be represented by the `2^level` arithmetic
 /// (`1u64 << level`), so the rate-doubling loops stop here, the
-/// hierarchical window sampler clamps its level count here, and
+/// window sampler clamps its level count here, and
 /// checkpoint restore rejects anything larger. Reaching the cap in
 /// practice would take an adversarially degenerate hash function — the
 /// threshold analysis keeps real streams at `O(log m)` doublings.
@@ -22,8 +22,8 @@ pub const MAX_LEVEL: u32 = 63;
 /// The defaults follow the paper: grid side `alpha` (the implementation
 /// regime of Section 6, where `adj(p)` is contained in the `3^d` lattice
 /// neighbourhood), acceptance-set threshold `kappa0 * k * log2(m)`
-/// (Algorithm 1 line 10 / Algorithm 3 line 10 and the k-sampling extension
-/// of Section 2.3), and `Θ(log m)`-wise independent hashing.
+/// (Algorithm 1 line 10, the window sampler's per-level cap, and the
+/// k-sampling extension of Section 2.3), and `Θ(log m)`-wise independent hashing.
 ///
 /// Construct it through [`SamplerConfig::builder`]; validation surfaces
 /// from [`SamplerConfigBuilder::build`] as [`RdsError`], never a panic.
@@ -228,9 +228,9 @@ impl SamplerConfigBuilder {
 /// The immutable context shared by sampler instances: the random grid, the
 /// k-wise independent cell hash, and the configuration.
 ///
-/// Algorithm 3 keeps `log w` sampler instances over the *same* grid and
-/// hash function (only the sample rate `1/R` differs per level), so the
-/// context is built once and shared.
+/// The window sampler keeps `log w` Algorithm 2 instances over the *same*
+/// grid and hash function (only the sample rate `1/R` differs per level),
+/// so the context is built once and shared.
 #[derive(Clone, Debug)]
 pub struct SamplerContext {
     cfg: SamplerConfig,

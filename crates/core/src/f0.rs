@@ -5,14 +5,11 @@
 //!   framework — replace Algorithm 1's `kappa_0 log m` threshold with
 //!   `kappa_B / eps^2` and return `|Sacc| * R`; run several independent
 //!   copies and take the median.
-//! * Sliding window: run copies of Algorithm 3. The paper sketches an
-//!   FM-style estimate `phi * 2^{mean(max non-empty level)}`; because each
-//!   level's capacity is `Θ(log m)` (not 1 as in a plain FM sketch), the
-//!   raw statistic undercounts by the per-level capacity, so
-//!   [`SlidingWindowF0::fm_estimate`] multiplies the calibration in. The
-//!   recommended estimator is the Horvitz–Thompson sum
-//!   `Σ_ℓ |Sacc_ℓ| 2^ℓ` ([`SlidingWindowF0::estimate`]), the direct
-//!   sliding-window analogue of `|Sacc| * R`.
+//! * Sliding window: run copies of [`SlidingWindowSampler`]. Each copy
+//!   reads its answering level `ℓ` — the lowest whose capped accept set
+//!   still sees the whole window — and returns `|Sacc_ℓ| * 2^ℓ`, the
+//!   sliding-window analogue of `|Sacc| * R`;
+//!   [`SlidingWindowF0::estimate`] takes the median over copies.
 
 use crate::config::SamplerConfig;
 use crate::error::RdsError;
@@ -20,9 +17,6 @@ use crate::infinite::RobustL0Sampler;
 use crate::sw_hier::SlidingWindowSampler;
 use rds_geometry::Point;
 use rds_stream::{StreamItem, Window};
-
-/// The Flajolet–Martin bias-correction constant `phi`.
-pub const FM_PHI: f64 = 0.77351;
 
 /// Default `kappa_B` of the `kappa_B / eps^2` accept-set threshold.
 pub const DEFAULT_KAPPA_B: f64 = 16.0;
@@ -150,17 +144,16 @@ impl RobustF0Estimator {
 }
 
 /// Robust F0 estimation over sliding windows (Section 5), built on copies
-/// of Algorithm 3.
+/// of [`SlidingWindowSampler`].
 #[derive(Debug)]
 pub struct SlidingWindowF0 {
     copies: Vec<SlidingWindowSampler>,
-    threshold: usize,
     eps: f64,
 }
 
 impl SlidingWindowF0 {
     /// Creates the estimator with `n_copies = ceil(kappa / eps^2)` copies
-    /// (`kappa = 2`), each an independent Algorithm 3 instance.
+    /// (`kappa = 2`), each an independent window sampler.
     ///
     /// # Errors
     ///
@@ -175,7 +168,6 @@ impl SlidingWindowF0 {
             return Err(RdsError::InvalidEps { eps });
         }
         let n_copies = ((2.0 / (eps * eps)).ceil() as usize).max(1);
-        let threshold = cfg.threshold();
         let copies = (0..n_copies)
             .map(|i| {
                 let cfg_i = SamplerConfig {
@@ -185,11 +177,7 @@ impl SlidingWindowF0 {
                 SlidingWindowSampler::try_new(cfg_i, window)
             })
             .collect::<Result<Vec<_>, RdsError>>()?;
-        Ok(Self {
-            copies,
-            threshold,
-            eps,
-        })
+        Ok(Self { copies, eps })
     }
 
     /// Feeds one stream item to every copy.
@@ -199,23 +187,10 @@ impl SlidingWindowF0 {
         }
     }
 
-    /// Recommended estimator: median over copies of the Horvitz–Thompson
-    /// sum `Σ_ℓ |Sacc_ℓ| 2^ℓ`.
+    /// The median over copies of `|Sacc_ℓ| * 2^ℓ` at each copy's
+    /// answering level.
     pub fn estimate(&self) -> f64 {
         median(self.copies.iter().map(|c| c.f0_estimate()).collect())
-    }
-
-    /// The paper's FM-flavoured estimator: `phi * 2^{mean(c_i)}` scaled by
-    /// the per-level capacity, where `c_i` is copy `i`'s highest non-empty
-    /// level. Windows currently empty contribute level 0.
-    pub fn fm_estimate(&self) -> f64 {
-        let mean_level = self
-            .copies
-            .iter()
-            .map(|c| c.max_nonempty_level().unwrap_or(0) as f64)
-            .sum::<f64>()
-            / self.copies.len() as f64;
-        FM_PHI * 2f64.powf(mean_level) * self.threshold as f64
     }
 
     /// The accuracy target.
@@ -343,22 +318,6 @@ mod tests {
             "estimate failed to shrink: before {many}, after {few}"
         );
         assert!(few <= 16.0, "estimate {few} far above truth 4");
-    }
-
-    #[test]
-    fn fm_estimate_is_positive_and_ordered() {
-        let cfg = SamplerConfig::builder(1, 0.5)
-            .seed(7)
-            .expected_len(2048)
-            .kappa0(1.0).build().unwrap();
-        let mut small = SlidingWindowF0::try_new(cfg.clone(), Window::Sequence(256), 1.0).unwrap();
-        let mut large = SlidingWindowF0::try_new(cfg, Window::Sequence(256), 1.0).unwrap();
-        for i in 0..1024u64 {
-            small.process(&StreamItem::new(grouped_point(i, 8), Stamp::at(i)));
-            large.process(&StreamItem::new(grouped_point(i, 200), Stamp::at(i)));
-        }
-        assert!(small.fm_estimate() > 0.0);
-        assert!(large.fm_estimate() >= small.fm_estimate());
     }
 
     #[test]

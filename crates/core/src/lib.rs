@@ -43,7 +43,7 @@ pub use store::CandidateStore;
 pub use sw_fixed::{
     FixedRateLevelState, FixedRateWindowSampler, FixedRateWindowState, WindowGroupEntry,
 };
-pub use f0::{RobustF0Estimator, SlidingWindowF0, DEFAULT_KAPPA_B, FM_PHI};
+pub use f0::{RobustF0Estimator, SlidingWindowF0, DEFAULT_KAPPA_B};
 pub use jl_adapter::{JlRobustSampler, JlSamplerState, JlSummary};
 pub use ksample::{KWithReplacementSampler, KWithReplacementState};
 pub use sw_hier::{GroupSample, SlidingWindowSampler, SlidingWindowState};

@@ -1,5 +1,5 @@
 //! The unified sampler API: every query family in this crate — infinite
-//! window, sliding window (hierarchical and fixed-rate), JL-projected —
+//! window, sliding window (capped levels and fixed-rate), JL-projected —
 //! implements [`DistinctSampler`], so callers
 //! (the sharded engine, the umbrella facade, the CLI) can be written once,
 //! window-agnostically.
@@ -86,13 +86,12 @@ pub trait SamplerSummary: Sized {
 }
 
 /// The unified streaming interface of the four query families: infinite
-/// window, hierarchical and fixed-rate sliding window, JL-projected.
+/// window, capped-level and fixed-rate sliding window, JL-projected.
 ///
 /// Implementations accept [`StreamItem`]s; infinite-window samplers ignore
 /// the stamp, window samplers use it for expiry. Query methods return
 /// owned [`GroupRecord`]s — for window samplers the record's `rep` is the
-/// group's *latest* point (always inside the window, the value
-/// Algorithm 3 returns).
+/// group's *latest* point (always inside the window).
 ///
 /// # Examples
 ///
@@ -185,14 +184,14 @@ pub trait DistinctSampler {
     }
 }
 
-/// The [`SamplerSummary`] of the sliding-window families: the accepted
-/// group entries of every level, tagged with their level (sample rate
-/// `2^-level`).
+/// The [`SamplerSummary`] of the sliding-window families: accepted group
+/// entries tagged with their level (sample rate `2^-level`). One sampler
+/// exports one level, its answering level; a merge of shards may hold
+/// several.
 ///
-/// Queries implement Algorithm 3 lines 19-23 over the pooled entries:
-/// every entry at level `ℓ` enters the pool with probability
-/// `2^-(c-ℓ)` where `c` is the highest occupied level, unifying the
-/// sample rates, and a uniform choice among the pool is returned.
+/// Queries pool the entries at one common rate: every entry at level `ℓ`
+/// enters the pool with probability `2^-(c-ℓ)` where `c` is the highest
+/// level present, and a uniform choice among the pool is returned.
 ///
 /// Merging unions the entries and deduplicates groups observed by several
 /// shards (keeping the finer-rate entry and summing counts) — sound for

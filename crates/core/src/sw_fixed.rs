@@ -9,10 +9,9 @@
 //! (Observation 1 of the paper).
 //!
 //! This struct is used standalone (it is a correct sampler, merely without
-//! a good space bound — it may hold up to `w/R` entries) and as the
-//! per-level building block of the hierarchical Algorithm 3, which calls
-//! the crate-internal `split`/`absorb` methods implementing Algorithms 4
-//! and 5.
+//! a good space bound — it may hold up to `w/R` entries) and as one level
+//! of [`crate::SlidingWindowSampler`], which runs it at every rate `2^-ℓ`
+//! over the whole window and caps how many groups each level admits.
 
 use crate::checkpoint::{check_dims, check_level, checkpoint_err, Checkpointable, RngState};
 use crate::config::{SamplerConfig, SamplerContext};
@@ -20,7 +19,7 @@ use crate::error::RdsError;
 use crate::infinite::{GroupRecord, ProcessOutcome};
 use crate::sampler::{window_entry_record, DistinctSampler, WindowSummary};
 use rand::rngs::StdRng;
-use rand::seq::IndexedRandom;
+use rand::seq::{IndexedRandom, SliceRandom};
 use rand::SeedableRng;
 use rds_geometry::{AdjacencyScratch, Point};
 use rds_stream::{Stamp, StreamItem, Window};
@@ -34,7 +33,7 @@ use std::sync::Arc;
 pub struct WindowGroupEntry {
     /// The group's representative for the current window.
     pub rep: Point,
-    /// `h(cell(rep))`, cached for split refiltering.
+    /// `h(cell(rep))`, cached for summary merging.
     pub rep_hash: u64,
     /// When the representative arrived.
     pub rep_stamp: Stamp,
@@ -54,13 +53,6 @@ pub struct WindowGroupEntry {
 }
 
 impl WindowGroupEntry {
-    /// Builds an accepted entry with `p` as both representative and latest
-    /// point (used by Algorithm 3's level-0 insertion, where rate 1
-    /// accepts every cell).
-    pub(crate) fn new_accepted(p: &Point, hash: u64, stamp: Stamp) -> Self {
-        Self::new(p, hash, stamp, true)
-    }
-
     fn new(p: &Point, hash: u64, stamp: Stamp, accepted: bool) -> Self {
         Self {
             rep: p.clone(),
@@ -80,6 +72,14 @@ impl WindowGroupEntry {
         // each), count, flag
         3 * self.rep.words() + 7
     }
+}
+
+/// Up to `k` distinct entries of `pool`, uniformly without replacement,
+/// as owned records (the window families' `query_k`).
+pub(crate) fn draw_k(mut pool: Vec<&WindowGroupEntry>, k: usize, rng: &mut StdRng) -> Vec<GroupRecord> {
+    pool.shuffle(rng);
+    pool.truncate(k);
+    pool.into_iter().map(window_entry_record).collect()
 }
 
 /// Algorithm 2 of the paper: a sliding-window robust ℓ0-sampler whose cell
@@ -128,8 +128,8 @@ impl FixedRateWindowSampler {
         Self::with_context(Arc::new(SamplerContext::new(cfg)), window, level, seed)
     }
 
-    /// Creates a sampler sharing an existing context (used by Algorithm 3,
-    /// whose levels must agree on the grid and hash function).
+    /// Creates a sampler sharing an existing context (used by the window
+    /// sampler, whose levels must agree on the grid and hash function).
     pub fn with_context(
         ctx: Arc<SamplerContext>,
         window: Window,
@@ -160,9 +160,9 @@ impl FixedRateWindowSampler {
         self.insert_first_point(item)
     }
 
-    /// Number of items processed through [`Self::process`] (items pushed
-    /// by the Algorithm 3 hierarchy via `push_entry`/`absorb` are the
-    /// parent's and are not counted here).
+    /// Number of items processed through [`Self::process`] (arrivals the
+    /// window sampler routes to this level are counted by the window
+    /// sampler, not here).
     pub fn seen(&self) -> u64 {
         self.seen
     }
@@ -213,21 +213,29 @@ impl FixedRateWindowSampler {
     /// rejected when only an adjacent cell is.
     pub(crate) fn insert_first_point(&mut self, item: &StreamItem) -> ProcessOutcome {
         let h = self.ctx.cell_hash(&item.point, &mut self.scratch);
-        if self.ctx.hash_sampled(h, self.level) {
-            self.entries
-                .push(WindowGroupEntry::new(&item.point, h, item.stamp, true));
-            self.mutations += 1;
-            ProcessOutcome::Accepted
-        } else if self
-            .ctx
-            .any_adjacent_sampled_with(&item.point, self.level, &mut self.adj_scratch)
+        let accepted = self.ctx.hash_sampled(h, self.level);
+        if accepted
+            || self
+                .ctx
+                .any_adjacent_sampled_with(&item.point, self.level, &mut self.adj_scratch)
         {
-            self.entries
-                .push(WindowGroupEntry::new(&item.point, h, item.stamp, false));
-            self.mutations += 1;
-            ProcessOutcome::Rejected
+            self.admit(item, h, accepted)
         } else {
             ProcessOutcome::Ignored
+        }
+    }
+
+    /// Lines 8-9 with the sampling test already decided: registers `item`
+    /// as the representative of a new accepted or rejected group whose
+    /// cell hashes to `hash`.
+    pub(crate) fn admit(&mut self, item: &StreamItem, hash: u64, accepted: bool) -> ProcessOutcome {
+        self.entries
+            .push(WindowGroupEntry::new(&item.point, hash, item.stamp, accepted));
+        self.mutations += 1;
+        if accepted {
+            ProcessOutcome::Accepted
+        } else {
+            ProcessOutcome::Rejected
         }
     }
 
@@ -235,19 +243,18 @@ impl FixedRateWindowSampler {
     /// `last` point is inside the window (Observation 1 guarantees each
     /// accepted group is a `1/R` sample of the window's groups).
     pub fn query(&mut self) -> Option<&WindowGroupEntry> {
-        let accepted: Vec<usize> = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.accepted)
-            .map(|(i, _)| i)
-            .collect();
-        accepted.choose(&mut self.rng).map(|&i| &self.entries[i])
+        let accepted: Vec<&WindowGroupEntry> = self.entries.iter().filter(|e| e.accepted).collect();
+        accepted.choose(&mut self.rng).copied()
+    }
+
+    /// The accepted groups (`Sacc`), ordered by representative arrival.
+    pub(crate) fn accepted(&self) -> impl Iterator<Item = &WindowGroupEntry> {
+        self.entries.iter().filter(|e| e.accepted)
     }
 
     /// Number of accepted groups (`|Sacc|`).
     pub fn accepted_len(&self) -> usize {
-        self.entries.iter().filter(|e| e.accepted).count()
+        self.accepted().count()
     }
 
     /// Number of rejected groups (`|Srej|`).
@@ -270,15 +277,6 @@ impl FixedRateWindowSampler {
         self.window
     }
 
-    /// Resets the sampler to the empty state, keeping its rate
-    /// (`ALG_j <- (⊥, ⊥, ⊥, R_j)`, Algorithm 3 line 9).
-    pub fn clear(&mut self) {
-        if !self.entries.is_empty() {
-            self.mutations += 1;
-        }
-        self.entries.clear();
-    }
-
     /// Monotone dirty counter: bumped by every operation that changed the
     /// tracked entries. Two equal readings bracket a span with no content
     /// change — the copy-on-write snapshot reuse condition.
@@ -289,99 +287,6 @@ impl FixedRateWindowSampler {
     /// Words of memory used by the entries.
     pub fn words(&self) -> usize {
         self.entries.iter().map(WindowGroupEntry::words).sum::<usize>() + 2
-    }
-
-    /// Mutable duplicate-update for Algorithm 3's match pass: like
-    /// `update_duplicate` but without expiry (the caller already expired
-    /// all levels).
-    pub(crate) fn try_match(&mut self, item: &StreamItem) -> Option<bool> {
-        self.update_duplicate(item)
-    }
-
-    /// Inserts a pre-built entry (Algorithm 3's level-0 insertion and
-    /// `Merge`'s entry transfer keep entries ordered by `rep_stamp`).
-    pub(crate) fn push_entry(&mut self, entry: WindowGroupEntry) {
-        debug_assert!(
-            self.entries
-                .last()
-                .map(|e| e.rep_stamp <= entry.rep_stamp)
-                .unwrap_or(true),
-            "entries must stay ordered by representative arrival"
-        );
-        self.entries.push(entry);
-        self.mutations += 1;
-    }
-
-    /// Algorithm 4 (`Split`): promotes the oldest prefix of this level to
-    /// rate `2^-(level+1)`.
-    ///
-    /// Let `t` be the arrival stamp of the *latest* accepted
-    /// representative that survives the finer rate. All entries with
-    /// `rep_stamp <= t` are refiltered at `level + 1` (own cell sampled →
-    /// accepted; else adjacent cell sampled → rejected; else dropped) and
-    /// returned for merging into the next level; entries after `t` stay
-    /// here. Returns `None` — without touching anything — when no accepted
-    /// representative survives, an event of negligible probability that
-    /// the caller surfaces as a failed split.
-    pub(crate) fn split(&mut self) -> Option<Vec<WindowGroupEntry>> {
-        let next = self.level + 1;
-        let t = self
-            .entries
-            .iter()
-            .filter(|e| e.accepted && self.ctx.hash_sampled(e.rep_hash, next))
-            .map(|e| e.rep_stamp)
-            .max()?;
-        let mut promoted = Vec::new();
-        let mut kept = Vec::new();
-        for e in self.entries.drain(..) {
-            if e.rep_stamp <= t {
-                promoted.push(e);
-            } else {
-                kept.push(e);
-            }
-        }
-        self.entries = kept;
-        self.mutations += 1;
-        // Refilter the promoted prefix at the finer rate. Fact 1b: an
-        // accepted entry can stay accepted or degrade; a rejected entry
-        // can never become accepted.
-        let ctx = &self.ctx;
-        let adj_scratch = &mut self.adj_scratch;
-        let refiltered = promoted
-            .into_iter()
-            .filter_map(|mut e| {
-                if ctx.hash_sampled(e.rep_hash, next) {
-                    e.accepted = true;
-                    Some(e)
-                } else if ctx.any_adjacent_sampled_with(&e.rep, next, adj_scratch) {
-                    e.accepted = false;
-                    Some(e)
-                } else {
-                    None
-                }
-            })
-            .collect();
-        Some(refiltered)
-    }
-
-    /// Algorithm 5 (`Merge`): absorbs entries promoted from the level
-    /// below. The promoted entries are newer than everything already here
-    /// (they come from a more recent subwindow), so ordering by
-    /// `rep_stamp` is preserved by appending.
-    pub(crate) fn absorb(&mut self, promoted: Vec<WindowGroupEntry>) {
-        for e in promoted {
-            self.push_entry(e);
-        }
-    }
-
-    /// Keeps only the entries satisfying the predicate (Algorithm 3 uses
-    /// this to pull a just-refreshed rejected group out of its level).
-    pub(crate) fn retain_entries<F: FnMut(&WindowGroupEntry) -> bool>(&mut self, f: F) {
-        let before = self.entries.len();
-        self.entries.retain(f);
-        if self.entries.len() != before {
-            self.mutations += 1;
-        }
     }
 
     /// Moves every entry out (the cheap `into_summary` path).
@@ -396,7 +301,7 @@ impl FixedRateWindowSampler {
 /// The serializable state of one fixed-rate instance: its rate exponent,
 /// every tracked entry, its private PRNG position, and its per-instance
 /// arrival counter. Used standalone (via [`FixedRateWindowState`]) and as
-/// the per-level payload of the hierarchical sampler's state.
+/// the per-level payload of the window sampler's state.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct FixedRateLevelState {
     level: u32,
@@ -494,7 +399,7 @@ impl Checkpointable for FixedRateWindowSampler {
         // `Window::Infinite` is a legitimate construction (a fixed-rate
         // tracker over the whole stream), but a zero-width bounded window
         // expires every entry on the next arrival — no sampler ever runs
-        // with one (the hierarchy rejects it as `EmptyWindow`), so in a
+        // with one (the window sampler rejects it as `EmptyWindow`), so in a
         // checkpoint it can only be corruption.
         if state.window.len() == Some(0) {
             return Err(checkpoint_err(
@@ -532,33 +437,12 @@ impl DistinctSampler for FixedRateWindowSampler {
     /// The record's `rep` is the group's latest point (always inside the
     /// window).
     fn query_record(&mut self) -> Option<GroupRecord> {
-        let accepted: Vec<usize> = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.accepted)
-            .map(|(i, _)| i)
-            .collect();
-        accepted
-            .choose(&mut self.rng)
-            .map(|&i| window_entry_record(&self.entries[i]))
+        FixedRateWindowSampler::query(self).map(window_entry_record)
     }
 
     fn query_k(&mut self, k: usize) -> Vec<GroupRecord> {
-        let mut accepted: Vec<usize> = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.accepted)
-            .map(|(i, _)| i)
-            .collect();
-        use rand::seq::SliceRandom;
-        accepted.shuffle(&mut self.rng);
-        accepted.truncate(k);
-        accepted
-            .into_iter()
-            .map(|i| window_entry_record(&self.entries[i]))
-            .collect()
+        let accepted = self.entries.iter().filter(|e| e.accepted).collect();
+        draw_k(accepted, k, &mut self.rng)
     }
 
     fn f0_estimate(&self) -> f64 {
@@ -574,13 +458,7 @@ impl DistinctSampler for FixedRateWindowSampler {
     }
 
     fn summary(&self) -> WindowSummary {
-        let level = self.level;
-        let entries = self
-            .entries
-            .iter()
-            .filter(|e| e.accepted)
-            .map(|e| (level, e.clone()))
-            .collect();
+        let entries = self.accepted().map(|e| (self.level, e.clone())).collect();
         WindowSummary::from_parts(self.ctx.cfg().clone(), entries)
     }
 
@@ -698,69 +576,6 @@ mod tests {
             "level-6 sampler tracked {tracked} of 4096 groups"
         );
         assert!(s.accepted_len() >= 1, "some group should be accepted");
-    }
-
-    #[test]
-    fn split_promotes_prefix_and_keeps_suffix_here() {
-        let cfg = SamplerConfig::builder(1, 0.5).seed(13).expected_len(1 << 10).build().unwrap();
-        let mut s = FixedRateWindowSampler::new(cfg, Window::Sequence(1024), 0);
-        for i in 0..64u64 {
-            s.process(&item(i as f64 * 10.0, i));
-        }
-        let before: usize = s.entries().len();
-        assert_eq!(before, 64);
-        let promoted = s.split().expect("some cell survives level 1");
-        // the suffix kept at level 0 plus the promoted prefix cover the
-        // split point t; nothing is duplicated
-        let kept = s.entries().len();
-        assert!(kept < 64);
-        // every promoted entry passes the level-1 filter rules
-        for e in &promoted {
-            if e.accepted {
-                assert!(s.ctx.hash_sampled(e.rep_hash, 1));
-            } else {
-                assert!(!s.ctx.hash_sampled(e.rep_hash, 1));
-            }
-        }
-        // promoted stamps all precede kept stamps
-        if let (Some(last_prom), Some(first_kept)) = (promoted.last(), s.entries().first()) {
-            assert!(last_prom.rep_stamp <= first_kept.rep_stamp);
-        }
-        // the newest promoted entry is accepted (choice of t)
-        assert!(promoted.last().expect("non-empty").accepted);
-    }
-
-    #[test]
-    fn split_on_empty_returns_none() {
-        let mut s = FixedRateWindowSampler::new(cfg(), Window::Sequence(8), 0);
-        assert!(s.split().is_none());
-    }
-
-    #[test]
-    fn absorb_preserves_order() {
-        let cfg_ = cfg();
-        let ctx = Arc::new(SamplerContext::new(cfg_));
-        let mut lower = FixedRateWindowSampler::with_context(ctx.clone(), Window::Sequence(64), 0, 1);
-        let mut upper = FixedRateWindowSampler::with_context(ctx, Window::Sequence(64), 1, 1);
-        for i in 0..32u64 {
-            lower.process(&item(i as f64 * 10.0, i));
-        }
-        if let Some(promoted) = lower.split() {
-            upper.absorb(promoted);
-            let stamps: Vec<u64> = upper.entries().iter().map(|e| e.rep_stamp.seq).collect();
-            let mut sorted = stamps.clone();
-            sorted.sort_unstable();
-            assert_eq!(stamps, sorted);
-        }
-    }
-
-    #[test]
-    fn clear_keeps_rate() {
-        let mut s = FixedRateWindowSampler::new(cfg(), Window::Sequence(8), 3);
-        s.process(&item(0.0, 0));
-        s.clear();
-        assert_eq!(s.entries().len(), 0);
-        assert_eq!(s.level(), 3);
     }
 
     #[test]

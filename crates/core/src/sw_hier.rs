@@ -1,52 +1,59 @@
-//! Algorithms 3, 4 and 5: the space-efficient sliding-window sampler.
+//! The space-efficient sliding-window sampler: independent,
+//! admission-capped levels of Algorithm 2.
 //!
-//! A hierarchy of [`FixedRateWindowSampler`] instances (levels
-//! `0..=log2 w`) with sample rates `1, 1/2, 1/4, ...` maintains a dynamic
-//! partition of the window into subwindows (Definition 2.9): level 0
-//! covers the most recent groups at rate 1, higher levels cover older
-//! groups at geometrically coarser rates. When a level's accept set
-//! exceeds `kappa_0 log m`, its oldest prefix is promoted one level up and
-//! refiltered at the finer^W coarser rate (`Split`, Algorithm 4) and merged
-//! into the next level (`Merge`, Algorithm 5), cascading as needed. At
-//! query time every accepted group at level `ℓ` is resampled with
-//! probability `R_ℓ / R_c` (where `c` is the highest occupied level) so
-//! all maintained groups end up sampled at a common rate, and a uniform
-//! choice among the survivors is returned (Theorem 2.7).
+//! Level `ℓ` (for `ℓ = 0..=ceil(log2 w)`) is a [`FixedRateWindowSampler`]
+//! that runs Algorithm 2 over the *whole* window at cell sample rate
+//! `2^-ℓ`; every level shares one grid and hash function. This is the
+//! per-level "keep the most recent" scheme of Gibbons & Tirthapura
+//! (*Distributed streams algorithms for sliding windows*, SPAA 2002)
+//! applied to the paper's robust Algorithm 2, in place of the
+//! split/merge cascade of Algorithms 3–5.
 //!
-//! ## Pseudocode deviations (documented in DESIGN.md)
+//! * **Admission cap.** A level whose accept set holds `threshold`
+//!   groups refuses every new first point that would enter it, accepted
+//!   or rejected, and records the point's stamp as its horizon.
+//!   Duplicates of groups it already tracks still refresh them. So
+//!   `|Sacc_ℓ| <= threshold` holds after every arrival.
+//! * **Answering level.** Queries, the F0 estimate and summaries read the
+//!   lowest level whose horizon is unset or has left the window: that
+//!   level has refused no point the window still holds, so it has run
+//!   Algorithm 2 on every one of them, its accept set is a `2^-ℓ` sample
+//!   of the window's groups (Observation 1), and `|Sacc_ℓ| · 2^ℓ`
+//!   estimates F0.
+//!   When every level has refused a live point the top level answers. If
+//!   the answering level accepted no group, the lowest level holding an
+//!   accepted group answers instead. Level 0 (rate 1) holds the newest
+//!   arrival's group unless it is full, so after every arrival a sample
+//!   exists (Lemma 2.10). A clock [`SlidingWindowSampler::expire`] alone
+//!   can expire every tracked group while a refused point is still live.
+//! * **Refuse, never evict.** Evicting the oldest accepted group to make
+//!   room would re-decide that group's representative on its next point.
+//!   Only accepted groups are evicted, so whether a group is re-decided
+//!   depends on its own hash, and entities whose points straddle grid
+//!   cells drift out of the sample: on a skewed 1-D stream with 40 live
+//!   entities (2000 seeds) eviction reads a mean F0 of 29.1 and refusal
+//!   39.6. Refusal does not look at the newcomer's hash.
 //!
-//! The paper's Algorithm 3 pseudocode conflicts in places with its own
-//! analysis (Facts 3/4, Lemma 2.10); we implement the analysis-consistent
-//! semantics:
-//!
-//! 1. New first points always enter at level 0 (rate 1), never directly at
-//!    a higher level — otherwise `ALG_0` would not "include every point in
-//!    `S_0^rep`" as Lemma 2.10's proof requires. Higher levels are
-//!    populated exclusively by `Split`.
-//! 2. Lower levels are pruned when a point refreshes an **accepted**
-//!    group (that is when the subwindow boundary — the last point of
-//!    `A(Sacc_ℓ)` — moves past everything newer), not on any match.
-//! 3. A point refreshing a **rejected** group re-registers the group at
-//!    level 0 with itself as the new representative: the group's last
-//!    point now lies in the newest subwindow, where every group must be
-//!    tracked at rate 1. Without this, a stream ending in points of a
-//!    single rejected group would leave every accept set empty and break
-//!    Lemma 2.10's guarantee that a non-empty window always yields a
-//!    sample.
+//! Each arrival hashes its cell once and walks the `adj(p)` DFS at most
+//! once, for all levels: a cell sampled at rate `2^-ℓ` is sampled at
+//! every finer rate (Fact 1b), so the highest level at which `cell(p)`
+//! is sampled and the highest at which some cell of `adj(p)` is sampled
+//! decide every level with two comparisons.
 
 use crate::checkpoint::{checkpoint_err, Checkpointable, RngState};
 use crate::config::{SamplerConfig, SamplerContext};
 use crate::error::RdsError;
 use crate::infinite::{GroupRecord, ProcessOutcome};
 use crate::sampler::{window_entry_record, DistinctSampler, EntryChunk, WindowSummary};
-use crate::sw_fixed::{FixedRateLevelState, FixedRateWindowSampler, WindowGroupEntry};
-use serde::{Deserialize, Serialize};
+use crate::sw_fixed::{draw_k, FixedRateLevelState, FixedRateWindowSampler, WindowGroupEntry};
 use rand::rngs::StdRng;
 use rand::seq::{IndexedRandom, SliceRandom};
-use rand::{RngExt, SeedableRng};
-use rds_geometry::Point;
+use rand::SeedableRng;
+use rds_geometry::{for_each_adjacent_cell_fold_with, AdjacencyScratch, Point};
+use rds_hashing::{max_sampled_level, CellKeyMixer};
 use rds_metrics::SpaceMeter;
 use rds_stream::{Stamp, StreamItem, Window};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::sync::Arc;
 
 /// What the query of a sliding-window sampler returns: the sampled group's
@@ -55,8 +62,7 @@ use std::sync::Arc;
 pub struct GroupSample {
     /// The group's representative for the current window.
     pub representative: Point,
-    /// The group's latest point — always inside the window; this is the
-    /// value Algorithm 3 line 23 returns.
+    /// The group's latest point — always inside the window.
     pub latest: Point,
     /// A reservoir-sampled random member (Section 2.3 extension).
     pub random_member: Point,
@@ -75,8 +81,9 @@ impl From<&WindowGroupEntry> for GroupSample {
     }
 }
 
-/// Algorithm 3 of the paper: robust ℓ0-sampling over sliding windows in
-/// `O(log w log m)` words.
+/// Robust ℓ0-sampling over sliding windows in `O(log w log m)` words:
+/// `1 + ceil(log2 w)` admission-capped levels of Algorithm 2 (see the
+/// module docs).
 ///
 /// Works for both sequence-based and time-based windows; pass the desired
 /// [`Window`] at construction.
@@ -101,19 +108,24 @@ pub struct SlidingWindowSampler {
     ctx: Arc<SamplerContext>,
     window: Window,
     levels: Vec<FixedRateWindowSampler>,
+    /// Per level, the stamp of the newest first point it refused at its
+    /// cap; the level answers exactly once that stamp has left the window.
+    horizons: Vec<Option<Stamp>>,
+    /// The latest stamp processed or advanced to.
+    now: Stamp,
     threshold: usize,
     scratch: Vec<i64>,
+    /// Scratch for the per-arrival `adj(p)` walk: DFS buffers, the
+    /// visited cells' keys and their hashes.
+    adj_scratch: (AdjacencyScratch, Vec<u64>, Vec<u64>),
     rng: StdRng,
     seen: u64,
-    overflow_errors: u64,
-    split_failures: u64,
     space: SpaceMeter,
-    /// Per-level copy-on-write snapshot cache: the entry chunk published
-    /// for a level at the [`FixedRateWindowSampler::mutations`] reading it
-    /// was built from. A level whose counter is unchanged re-publishes its
-    /// `Arc` chunk without copying a single entry. Lazily sized; never
-    /// serialized.
-    summary_cache: Vec<Option<(u64, EntryChunk)>>,
+    /// Copy-on-write snapshot cache: the answering level, its
+    /// [`FixedRateWindowSampler::mutations`] reading and the chunk built
+    /// from it. An unchanged pair re-publishes the `Arc` chunk without
+    /// copying an entry. Never serialized.
+    summary_cache: Option<(usize, u64, EntryChunk)>,
 }
 
 impl SlidingWindowSampler {
@@ -130,7 +142,7 @@ impl SlidingWindowSampler {
         Self::try_with_threshold(cfg, window, threshold)
     }
 
-    /// Creates the sampler with an explicit per-level `|Sacc|` threshold
+    /// Creates the sampler with an explicit per-level `|Sacc|` cap
     /// (the Section 5 F0 regime uses `kappa_B / eps^2`).
     ///
     /// # Errors
@@ -158,160 +170,139 @@ impl SlidingWindowSampler {
         // 2^-MAX_LEVEL is already unreachable for any physical stream.
         let top = (64 - (w - 1).leading_zeros()).clamp(1, crate::MAX_LEVEL);
         let ctx = Arc::new(SamplerContext::new(cfg));
-        let levels = (0..=top)
+        let levels: Vec<_> = (0..=top)
             .map(|l| FixedRateWindowSampler::with_context(ctx.clone(), window, l, seed))
             .collect();
         Ok(Self {
             ctx,
             window,
+            horizons: vec![None; levels.len()],
             levels,
+            now: Stamp::at(0),
             threshold,
             scratch: Vec::new(),
+            adj_scratch: (AdjacencyScratch::new(), Vec::new(), Vec::new()),
             rng: StdRng::seed_from_u64(seed ^ 0x51D1_1365),
             seen: 0,
-            overflow_errors: 0,
-            split_failures: 0,
             space: SpaceMeter::new(),
-            summary_cache: Vec::new(),
+            summary_cache: None,
         })
     }
 
     /// Expires entries at every level against `now` without feeding a
     /// point (the trait-level [`DistinctSampler::advance`]).
     pub fn expire(&mut self, now: Stamp) {
+        self.now = self.now.max(now);
         for lvl in &mut self.levels {
             lvl.expire(now);
         }
     }
 
-    /// Feeds one stream item. Stamps must be non-decreasing.
+    /// Feeds one stream item to every level. Stamps must be
+    /// non-decreasing. Returns level 0's outcome: `Duplicate` for a
+    /// tracked group, `Accepted` for a new one, `Ignored` when level 0 is
+    /// at its cap and refuses it.
     pub fn process(&mut self, item: &StreamItem) -> ProcessOutcome {
         self.seen += 1;
-        // Expire at every level (Algorithm 2 lines 1-3 run per instance).
-        for lvl in &mut self.levels {
+        self.now = self.now.max(item.stamp);
+        let top = self.top();
+        // Computed on the first level that sees a first point, then shared:
+        // (h(cell(p)), highest level sampling cell(p)), and the highest
+        // level sampling some cell of adj(p).
+        let mut own: Option<(u64, u32)> = None;
+        let mut adj: Option<u32> = None;
+        let mut outcome = ProcessOutcome::Ignored;
+        for ((lvl, horizon), l) in self.levels.iter_mut().zip(&mut self.horizons).zip(0u32..) {
             lvl.expire(item.stamp);
-        }
-        // Match pass, top level first: each group has exactly one entry.
-        let outcome = 'arrival: {
-            for l in (0..self.levels.len()).rev() {
-                match self.levels[l].try_match(item) {
-                    Some(true) => {
-                        // Refreshed an accepted group: the subwindow of
-                        // level l now extends to the newest point; prune
-                        // everything below (Algorithm 3 lines 8-9).
-                        for j in 0..l {
-                            self.levels[j].clear();
-                        }
-                        break 'arrival ProcessOutcome::Duplicate;
-                    }
-                    Some(false) => {
-                        // Refreshed a rejected group: re-register it at
-                        // level 0 (deviation 3 in the module docs). Take
-                        // the refreshed entry out of level l and restart
-                        // the group with the new point as representative.
-                        self.remove_last_matched(l, item);
-                        self.insert_at_level_zero(item);
-                        break 'arrival ProcessOutcome::Duplicate;
-                    }
-                    None => {}
+            let here = if lvl.update_duplicate(item).is_some() {
+                ProcessOutcome::Duplicate
+            } else {
+                let (h, own_level) = *own.get_or_insert_with(|| {
+                    let h = self.ctx.cell_hash(&item.point, &mut self.scratch);
+                    (h, max_sampled_level(h, top))
+                });
+                let accepted = l <= own_level;
+                let enters = accepted
+                    || l <= *adj.get_or_insert_with(|| {
+                        max_adjacent_sampled_level(&self.ctx, &item.point, top, &mut self.adj_scratch)
+                    });
+                if !enters {
+                    ProcessOutcome::Ignored
+                } else if lvl.accepted_len() >= self.threshold {
+                    *horizon = Some(item.stamp);
+                    ProcessOutcome::Ignored
+                } else {
+                    lvl.admit(item, h, accepted)
                 }
+            };
+            if l == 0 {
+                outcome = here;
             }
-            // First point of its group in the window: level 0, rate 1.
-            self.insert_at_level_zero(item);
-            ProcessOutcome::Accepted
-        };
-        self.cascade();
+        }
         self.space.observe(self.words());
         outcome
     }
 
-    /// Removes the entry of level `l` whose group contains `item` (the
-    /// entry `try_match` just refreshed).
-    fn remove_last_matched(&mut self, l: usize, item: &StreamItem) {
-        let alpha = self.ctx.alpha();
-        self.levels[l].retain_entries(|e| !e.rep.within(&item.point, alpha));
+    /// The highest level's rate exponent (`ceil(log2 w)`, clamped).
+    fn top(&self) -> u32 {
+        self.levels.last().map_or(0, FixedRateWindowSampler::level)
     }
 
-    fn insert_at_level_zero(&mut self, item: &StreamItem) {
-        let h = self.ctx.cell_hash(&item.point, &mut self.scratch);
-        // Rate 1: every cell is sampled, the entry is accepted.
-        let entry = WindowGroupEntry::new_accepted(&item.point, h, item.stamp);
-        // levels is sized at construction and never shrinks, so level 0
-        // always exists
-        if let Some(level0) = self.levels.first_mut() {
-            level0.push_entry(entry);
-        }
-    }
-
-    /// Algorithm 3 lines 10-17: while some level's accept set exceeds the
-    /// threshold, split it and merge the promoted prefix one level up.
-    fn cascade(&mut self) {
-        let top = self.levels.len() - 1;
-        let mut j = 0usize;
-        while self.levels[j].accepted_len() > self.threshold {
-            if j == top {
-                // The paper returns "error" here (Lemma 2.8: probability
-                // <= 1/m^2). We record the event and keep the oversized
-                // top level: the sampler stays correct, merely larger.
-                self.overflow_errors += 1;
-                break;
-            }
-            match self.levels[j].split() {
-                Some(promoted) => self.levels[j + 1].absorb(promoted),
-                None => {
-                    // No accepted representative survives the finer rate —
-                    // negligible probability. Keep the oversized level.
-                    self.split_failures += 1;
-                    break;
-                }
-            }
-            j += 1;
-        }
-    }
-
-    /// Draws a robust ℓ0-sample of the current window: a uniformly random
-    /// group's state. `None` iff the window is empty.
-    ///
-    /// Implements Algorithm 3 lines 19-23: every accepted group at level
-    /// `ℓ` enters the pool with probability `R_ℓ / R_c` (where `c` is the
-    /// highest level with a non-empty accept set), unifying all sample
-    /// rates at `2^-c`; the result is uniform among the pool.
-    pub fn query(&mut self) -> Option<GroupSample> {
-        let pool = self.pooled(|e| GroupSample::from(e));
-        debug_assert!(
-            pool.is_empty() == self.max_nonempty_level().is_none(),
-            "level c contributes with probability 1"
-        );
-        pool.choose(&mut self.rng).cloned()
-    }
-
-    /// Draws up to `k` *distinct* groups (Section 2.3: configure
-    /// [`crate::SamplerConfigBuilder::k`] so the per-level threshold scales with
-    /// `k`).
-    pub fn query_k(&mut self, k: usize) -> Vec<GroupSample> {
-        let mut pool = self.pooled(|e| GroupSample::from(e));
-        pool.shuffle(&mut self.rng);
-        pool.truncate(k);
-        pool
-    }
-
-    /// The highest level with a non-empty accept set (the value `c` of
-    /// Algorithm 3 line 20 and the per-copy statistic of the Section 5
-    /// sliding-window F0 estimator). `None` when the window is empty.
-    pub fn max_nonempty_level(&self) -> Option<u32> {
-        let l = self.levels.iter().rposition(|lvl| lvl.accepted_len() > 0)?;
+    /// The lowest level whose view of the window is exact: it has refused
+    /// no first point that is still inside the window. `None` when every
+    /// level has (the top level then answers).
+    pub fn exact_level(&self) -> Option<u32> {
+        let l = self
+            .horizons
+            .iter()
+            .position(|h| h.is_none_or(|h| !self.window.live(h, self.now)))?;
         u32::try_from(l).ok()
     }
 
-    /// Horvitz–Thompson estimate of the number of groups in the window:
-    /// `Σ_ℓ |Sacc_ℓ| * 2^ℓ` (each accepted group at level `ℓ` represents
-    /// `2^ℓ` groups). The sliding-window analogue of `|Sacc| * R`.
-    pub fn f0_estimate(&self) -> f64 {
+    /// Index of the level that answers queries, F0 and summaries: the
+    /// exact level (else the top), or — when that level accepted no
+    /// group — the lowest level that holds an accepted group.
+    fn answering(&self) -> usize {
+        let l = self
+            .exact_level()
+            .map_or(self.levels.len() - 1, |l| l as usize);
+        if self.levels[l].accepted_len() > 0 {
+            return l;
+        }
         self.levels
             .iter()
-            .zip(0i32..)
-            .map(|(lvl, l)| lvl.accepted_len() as f64 * 2f64.powi(l))
-            .sum()
+            .position(|lvl| lvl.accepted_len() > 0)
+            .unwrap_or(l)
+    }
+
+    /// The answering level's accepted groups, with the query PRNG.
+    fn answer(&mut self) -> (Vec<&WindowGroupEntry>, &mut StdRng) {
+        let l = self.answering();
+        (self.levels[l].accepted().collect(), &mut self.rng)
+    }
+
+    /// Draws a robust ℓ0-sample of the current window: a uniformly random
+    /// accepted group of the answering level. `None` when no level holds
+    /// an accepted group: the window is empty, or a clock-only
+    /// [`Self::expire`] left only refused points live.
+    pub fn query(&mut self) -> Option<GroupSample> {
+        let (pool, rng) = self.answer();
+        pool.choose(rng).map(|e| GroupSample::from(*e))
+    }
+
+    /// Draws up to `k` *distinct* groups (Section 2.3: configure
+    /// [`crate::SamplerConfigBuilder::k`] so the per-level cap scales
+    /// with `k`).
+    pub fn query_k(&mut self, k: usize) -> Vec<GroupSample> {
+        let (mut pool, rng) = self.answer();
+        pool.shuffle(rng);
+        pool.into_iter().take(k).map(GroupSample::from).collect()
+    }
+
+    /// Horvitz–Thompson estimate of the number of groups in the window
+    /// from the answering level: `|Sacc_ℓ| * 2^ℓ`.
+    pub fn f0_estimate(&self) -> f64 {
+        self.levels[self.answering()].f0_estimate()
     }
 
     /// Number of items processed.
@@ -319,7 +310,7 @@ impl SlidingWindowSampler {
         self.seen
     }
 
-    /// The per-level `|Sacc|` threshold in force.
+    /// The per-level `|Sacc|` cap in force.
     pub fn threshold(&self) -> usize {
         self.threshold
     }
@@ -329,25 +320,12 @@ impl SlidingWindowSampler {
         self.levels.len()
     }
 
-    /// Per-level accepted/rejected counts, oldest level last — diagnostic
-    /// view of the subwindow structure.
+    /// Per-level accepted/rejected counts, level 0 first.
     pub fn level_occupancy(&self) -> Vec<(usize, usize)> {
         self.levels
             .iter()
             .map(|l| (l.accepted_len(), l.rejected_len()))
             .collect()
-    }
-
-    /// How often the cascade hit the top level (the paper's "error"
-    /// output, probability `O(1/m^2)` per step by Lemma 2.8).
-    pub fn overflow_errors(&self) -> u64 {
-        self.overflow_errors
-    }
-
-    /// How often a split found no promotable accepted representative
-    /// (negligible probability; the level is left oversized).
-    pub fn split_failures(&self) -> u64 {
-        self.split_failures
     }
 
     /// The window model.
@@ -365,7 +343,8 @@ impl SlidingWindowSampler {
             level_words >= 10 * self.all_entries().count(),
             "words() accounting fell below the per-entry floor"
         );
-        self.ctx.words() + level_words + 6
+        // two words per horizon stamp; six for the clock, counters and cap
+        self.ctx.words() + level_words + 2 * self.horizons.len() + 6
     }
 
     /// Peak footprint (the paper's `pSpace`).
@@ -378,49 +357,64 @@ impl SlidingWindowSampler {
         &self.ctx
     }
 
-    /// All live entries across levels (diagnostics/tests).
+    /// All live entries, level by level (diagnostics/tests). A group may
+    /// be tracked at several levels.
     pub fn all_entries(&self) -> impl Iterator<Item = &WindowGroupEntry> {
         self.levels.iter().flat_map(|l| l.entries().iter())
     }
 
-    /// Algorithm 3 lines 19-22, the single pooling implementation behind
-    /// every query flavour: each accepted entry at level `ℓ` enters the
-    /// pool with probability `2^-(c-ℓ)` (where `c` is the highest
-    /// occupied level), mapped through `view`.
-    fn pooled<T>(&mut self, view: impl Fn(&WindowGroupEntry) -> T) -> Vec<T> {
-        let Some(c) = self.max_nonempty_level() else {
-            return Vec::new();
-        };
-        let mut pool = Vec::new();
-        for l in 0..=c {
-            let keep_prob = 0.5f64.powi((c - l) as i32);
-            for e in self.levels[l as usize].entries() {
-                if !e.accepted {
-                    continue;
-                }
-                if keep_prob >= 1.0 || self.rng.random_range(0.0..1.0) < keep_prob {
-                    pool.push(view(e));
-                }
-            }
-        }
-        pool
+    /// The answering level's accepted entries tagged with its level.
+    fn tagged_answer(&self) -> Vec<(u32, WindowGroupEntry)> {
+        let lvl = &self.levels[self.answering()];
+        lvl.accepted().map(|e| (lvl.level(), e.clone())).collect()
     }
 }
 
+/// The highest level, capped at `cap`, at which some cell of `adj(p)` is
+/// sampled, from one walk of the `SearchAdj` fold DFS: for every
+/// `level <= cap` it is `>= level` exactly when
+/// [`SamplerContext::any_adjacent_sampled_with`] holds at `level` (Fact 1b
+/// nests the sampled sets). `scratch` holds the DFS buffers and the
+/// visited cells' keys and hashes.
+fn max_adjacent_sampled_level(
+    ctx: &SamplerContext,
+    p: &Point,
+    cap: u32,
+    scratch: &mut (AdjacencyScratch, Vec<u64>, Vec<u64>),
+) -> u32 {
+    let (dfs, keys, hashes) = scratch;
+    keys.clear();
+    for_each_adjacent_cell_fold_with(
+        ctx.grid(),
+        p,
+        ctx.alpha(),
+        ctx.hasher().mixer().fold_init(ctx.cfg().dim),
+        CellKeyMixer::fold_step,
+        |_cell, key| {
+            keys.push(key);
+            false
+        },
+        dfs,
+    );
+    ctx.hasher().hash_keys_slice(keys, hashes);
+    hashes.iter().map(|&h| max_sampled_level(h, cap)).max().unwrap_or(0)
+}
+
 /// The serializable full state of a [`SlidingWindowSampler`]: one
-/// [`FixedRateLevelState`] per hierarchy level (entries + per-level PRNG
-/// position), the window model, the threshold, the clocks and the query
-/// PRNG position. The shared grid/hash context is a deterministic
-/// function of the embedded [`SamplerConfig`] and is rebuilt on restore.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// [`FixedRateLevelState`] per level (entries + per-level PRNG position),
+/// the per-level horizons and clock, the window model, the threshold and
+/// the query PRNG position. The shared grid/hash context is a
+/// deterministic function of the embedded [`SamplerConfig`] and is
+/// rebuilt on restore.
+#[derive(Clone, Debug, Serialize)]
 pub struct SlidingWindowState {
     cfg: SamplerConfig,
     window: Window,
     threshold: usize,
     levels: Vec<FixedRateLevelState>,
+    horizons: Vec<Option<Stamp>>,
+    now: Stamp,
     seen: u64,
-    overflow_errors: u64,
-    split_failures: u64,
     rng: RngState,
     peak_words: usize,
 }
@@ -442,6 +436,37 @@ impl SlidingWindowState {
     }
 }
 
+impl Deserialize for SlidingWindowState {
+    /// Field-by-field, like the derived impl, except that a state without
+    /// per-level horizons is refused by name: the split/merge hierarchy
+    /// that wrote it kept subwindows above level 0, not whole-window
+    /// samples, so restoring it would silently mis-answer.
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        if value.get("horizons").is_none() {
+            return Err(DeError::custom(
+                "window state has no per-level horizons: it was written by the \
+                 split/merge hierarchy, whose levels above 0 hold subwindows rather \
+                 than whole-window samples, and cannot be restored",
+            ));
+        }
+        fn field<T: Deserialize>(value: &Value, name: &str) -> Result<T, DeError> {
+            T::from_value(value.get(name).unwrap_or(&Value::Null))
+                .map_err(|e| DeError::custom(format!("field `{name}`: {e}")))
+        }
+        Ok(Self {
+            cfg: field(value, "cfg")?,
+            window: field(value, "window")?,
+            threshold: field(value, "threshold")?,
+            levels: field(value, "levels")?,
+            horizons: field(value, "horizons")?,
+            now: field(value, "now")?,
+            seen: field(value, "seen")?,
+            rng: field(value, "rng")?,
+            peak_words: field(value, "peak_words")?,
+        })
+    }
+}
+
 impl Checkpointable for SlidingWindowSampler {
     type State = SlidingWindowState;
 
@@ -451,9 +476,9 @@ impl Checkpointable for SlidingWindowSampler {
             window: self.window,
             threshold: self.threshold,
             levels: self.levels.iter().map(|l| l.capture_level()).collect(),
+            horizons: self.horizons.clone(),
+            now: self.now,
             seen: self.seen,
-            overflow_errors: self.overflow_errors,
-            split_failures: self.split_failures,
             rng: RngState::capture(&self.rng),
             peak_words: self.space.peak_words(),
         }
@@ -461,20 +486,24 @@ impl Checkpointable for SlidingWindowSampler {
 
     fn try_from_state(state: SlidingWindowState) -> Result<Self, RdsError> {
         let mut s = Self::try_with_threshold(state.cfg, state.window, state.threshold)?;
-        if s.levels.len() != state.levels.len() {
+        if s.levels.len() != state.levels.len() || s.levels.len() != state.horizons.len() {
             return Err(checkpoint_err(format!(
-                "window {:?} builds {} hierarchy levels but the state holds {}",
+                "window {:?} builds {} levels but the state holds {} levels and {} horizons",
                 state.window,
                 s.levels.len(),
-                state.levels.len()
+                state.levels.len(),
+                state.horizons.len()
             )));
+        }
+        if state.horizons.iter().flatten().any(|h| *h > state.now) {
+            return Err(checkpoint_err("a level horizon lies after the window clock"));
         }
         for (lvl, st) in s.levels.iter_mut().zip(state.levels) {
             lvl.restore_level(st)?;
         }
+        s.horizons = state.horizons;
+        s.now = state.now;
         s.seen = state.seen;
-        s.overflow_errors = state.overflow_errors;
-        s.split_failures = state.split_failures;
         s.rng = state.rng.restore();
         s.space.observe(state.peak_words);
         s.space.observe(s.words());
@@ -507,15 +536,13 @@ impl DistinctSampler for SlidingWindowSampler {
     /// The record's `rep` is the group's latest point (always inside the
     /// window).
     fn query_record(&mut self) -> Option<GroupRecord> {
-        let pool = self.pooled(window_entry_record);
-        pool.choose(&mut self.rng).cloned()
+        let (pool, rng) = self.answer();
+        pool.choose(rng).map(|e| window_entry_record(e))
     }
 
     fn query_k(&mut self, k: usize) -> Vec<GroupRecord> {
-        let mut pool = self.pooled(window_entry_record);
-        pool.shuffle(&mut self.rng);
-        pool.truncate(k);
-        pool
+        let (pool, rng) = self.answer();
+        draw_k(pool, k, rng)
     }
 
     fn f0_estimate(&self) -> f64 {
@@ -530,68 +557,42 @@ impl DistinctSampler for SlidingWindowSampler {
         SlidingWindowSampler::words(self)
     }
 
+    /// The answering level's accepted entries, tagged with its level.
     fn summary(&self) -> WindowSummary {
-        let entries = self
-            .levels
-            .iter()
-            .zip(0u32..)
-            .flat_map(|(lvl, l)| {
-                lvl.entries()
-                    .iter()
-                    .filter(|e| e.accepted)
-                    .map(move |e| (l, e.clone()))
-            })
-            .collect();
-        WindowSummary::from_parts(self.ctx.cfg().clone(), entries)
+        WindowSummary::from_parts(self.ctx.cfg().clone(), self.tagged_answer())
     }
 
-    /// Rebuilds only the per-level chunks whose [`FixedRateWindowSampler`]
-    /// mutation counter moved since the previous call; untouched levels
-    /// contribute their previously published `Arc` chunk as-is. Always
-    /// equal to [`Self::summary`] (the chunks flatten to the same entry
-    /// sequence: levels in order, accepted entries in arrival order).
+    /// Rebuilds the chunk only when the answering level or its
+    /// [`FixedRateWindowSampler`] mutation counter moved since the
+    /// previous call; otherwise re-publishes the previous `Arc` chunk.
+    /// Always equal to [`Self::summary`].
     fn summary_cow(&mut self) -> WindowSummary {
-        if self.summary_cache.len() != self.levels.len() {
-            self.summary_cache = vec![None; self.levels.len()];
-        }
-        let mut chunks = Vec::new();
-        for ((lvl, cached), l) in self.levels.iter().zip(&mut self.summary_cache).zip(0u32..) {
-            let muts = lvl.mutations();
-            let chunk = match cached {
-                Some((stamp, chunk)) if *stamp == muts => chunk.clone(),
-                _ => {
-                    let built: EntryChunk = Arc::new(
-                        lvl.entries()
-                            .iter()
-                            .filter(|e| e.accepted)
-                            .map(|e| (l, e.clone()))
-                            .collect(),
-                    );
-                    *cached = Some((muts, built.clone()));
-                    built
-                }
-            };
-            if !chunk.is_empty() {
-                chunks.push(chunk);
+        let l = self.answering();
+        let muts = self.levels[l].mutations();
+        let chunk = match &self.summary_cache {
+            Some((cached_l, cached_muts, chunk)) if *cached_l == l && *cached_muts == muts => {
+                chunk.clone()
             }
-        }
+            _ => {
+                let chunk: EntryChunk = Arc::new(self.tagged_answer());
+                self.summary_cache = Some((l, muts, chunk.clone()));
+                chunk
+            }
+        };
+        let chunks = if chunk.is_empty() { Vec::new() } else { vec![chunk] };
         WindowSummary::from_chunks(self.ctx.cfg().clone(), chunks)
     }
 
     fn into_summary(mut self) -> WindowSummary {
-        let cfg = self.ctx.cfg().clone();
-        let entries = self
-            .levels
-            .iter_mut()
-            .zip(0u32..)
-            .flat_map(|(lvl, l)| {
-                lvl.take_entries()
-                    .into_iter()
-                    .filter(|e| e.accepted)
-                    .map(move |e| (l, e))
-            })
+        let l = self.answering();
+        let level = self.levels[l].level();
+        let entries = self.levels[l]
+            .take_entries()
+            .into_iter()
+            .filter(|e| e.accepted)
+            .map(|e| (level, e))
             .collect();
-        WindowSummary::from_parts(cfg, entries)
+        WindowSummary::from_parts(self.ctx.cfg().clone(), entries)
     }
 }
 
@@ -681,70 +682,127 @@ mod tests {
     }
 
     #[test]
-    fn no_group_is_tracked_twice() {
+    fn no_group_is_tracked_twice_within_a_level() {
         let mut s = SlidingWindowSampler::try_new(cfg(5), Window::Sequence(64)).unwrap();
         for i in 0..500u64 {
             s.process(&item(((i * 13) % 90) as f64 * 10.0, i));
-            let mut reps: Vec<i64> = s
-                .all_entries()
-                .map(|e| (e.rep.get(0) / 10.0).round() as i64)
-                .collect();
-            let n = reps.len();
-            reps.sort_unstable();
-            reps.dedup();
-            assert_eq!(reps.len(), n, "duplicate group entries at step {i}");
-        }
-    }
-
-    #[test]
-    fn cascade_keeps_levels_at_threshold() {
-        let mut s = SlidingWindowSampler::try_new(
-            SamplerConfig { kappa0: 0.5, ..cfg(6) }, // tight threshold to force splits
-            Window::Sequence(256),
-        ).unwrap();
-        let mut over_budget_steps = 0u64;
-        for i in 0..2000u64 {
-            s.process(&item(((i * 13) % 512) as f64 * 10.0, i));
-            let occ = s.level_occupancy();
-            // All levels but possibly the top respect the threshold, up to
-            // the slack accumulated by failed splits (a split fails with
-            // probability 2^-|Sacc| when no accepted representative
-            // survives the finer rate; the level is then left oversized
-            // until a promotable entry arrives).
-            for (l, (acc, _)) in occ.iter().enumerate().take(occ.len() - 1) {
-                assert!(
-                    *acc <= 2 * s.threshold() + 2,
-                    "level {l} far over threshold at step {i}: {occ:?}"
-                );
-                if *acc > s.threshold() {
-                    over_budget_steps += 1;
-                }
+            for lvl in &s.levels {
+                let mut reps: Vec<i64> = lvl
+                    .entries()
+                    .iter()
+                    .map(|e| (e.rep.get(0) / 10.0).round() as i64)
+                    .collect();
+                let n = reps.len();
+                reps.sort_unstable();
+                reps.dedup();
+                assert_eq!(reps.len(), n, "level {} tracks a group twice at step {i}", lvl.level());
             }
         }
-        assert_eq!(s.overflow_errors(), 0);
-        // oversized levels must be the exception, not the rule
-        assert!(
-            over_budget_steps < 400,
-            "levels exceeded the threshold during {over_budget_steps} level-steps"
-        );
     }
 
     #[test]
-    fn levels_above_zero_only_hold_rate_passing_accepts() {
-        let mut s = SlidingWindowSampler::try_new(SamplerConfig { kappa0: 0.5, ..cfg(7) }, Window::Sequence(128)).unwrap();
-        for i in 0..1500u64 {
-            s.process(&item(((i * 29) % 300) as f64 * 10.0, i));
+    fn accept_sets_never_exceed_the_threshold() {
+        let mut s = SlidingWindowSampler::try_new(
+            SamplerConfig { kappa0: 0.5, ..cfg(6) }, // tight cap: levels fill
+            Window::Sequence(256),
+        )
+        .unwrap();
+        let mut refusals = 0usize;
+        for i in 0..2000u64 {
+            s.process(&item(((i * 13) % 512) as f64 * 10.0, i));
+            for (l, (acc, _)) in s.level_occupancy().into_iter().enumerate() {
+                assert!(acc <= s.threshold(), "level {l} holds {acc} accepted groups at step {i}");
+            }
+            refusals += s.horizons.iter().filter(|h| **h == Some(Stamp::at(i))).count();
         }
-        for (l, lvl) in s.levels.iter().enumerate() {
-            for e in lvl.entries() {
-                if e.accepted {
-                    assert!(
-                        s.ctx.hash_sampled(e.rep_hash, l as u32),
-                        "accepted entry at level {l} fails its rate"
+        assert!(refusals > 0, "the cap never bound; the test proves nothing");
+        assert!(s.exact_level().is_some(), "some level must see the whole window");
+    }
+
+    #[test]
+    fn every_level_decides_like_a_standalone_fixed_rate_sampler() {
+        // With a cap that never binds, level l is Algorithm 2 at rate
+        // 2^-l: the shared hash/DFS decisions equal the per-level
+        // `hash_sampled` / `any_adjacent_sampled_with` calls.
+        let cfg = cfg(7);
+        let window = Window::Sequence(128);
+        let mut s = SlidingWindowSampler::try_with_threshold(cfg.clone(), window, usize::MAX).unwrap();
+        let mut solo: Vec<FixedRateWindowSampler> = (0..s.n_levels() as u32)
+            .map(|l| FixedRateWindowSampler::new(cfg.clone(), window, l))
+            .collect();
+        for i in 0..1500u64 {
+            let it = item(((i * 29) % 300) as f64 * 3.7 + 0.2 * (i % 3) as f64, i);
+            s.process(&it);
+            for f in &mut solo {
+                f.process(&it);
+            }
+        }
+        for (lvl, f) in s.levels.iter().zip(&solo) {
+            let key = |e: &WindowGroupEntry| {
+                (e.rep.clone(), e.accepted, e.last.clone(), e.count, e.reservoir.clone())
+            };
+            let got: Vec<_> = lvl.entries().iter().map(key).collect();
+            let want: Vec<_> = f.entries().iter().map(key).collect();
+            assert_eq!(got, want, "level {} diverged", lvl.level());
+        }
+        assert_eq!(s.exact_level(), Some(0));
+    }
+
+    #[test]
+    fn one_adjacency_walk_decides_every_level() {
+        for dim in 1..=5usize {
+            let ctx = SamplerContext::new(SamplerConfig::builder(dim, 1.0).seed(dim as u64).build().unwrap());
+            let mut scratch = (AdjacencyScratch::new(), Vec::new(), Vec::new());
+            let mut dfs = AdjacencyScratch::new();
+            for i in 0..200u64 {
+                let p = Point::new((0..dim).map(|d| ((i * 37 + d as u64 * 11) % 97) as f64 * 0.31).collect());
+                let max = max_adjacent_sampled_level(&ctx, &p, 12, &mut scratch);
+                for level in 0..=12 {
+                    assert_eq!(
+                        level <= max,
+                        ctx.any_adjacent_sampled_with(&p, level, &mut dfs),
+                        "dim {dim} point {p:?} level {level}"
                     );
                 }
             }
         }
+    }
+
+    #[test]
+    fn every_level_holds_only_rate_passing_entries() {
+        let mut s = SlidingWindowSampler::try_new(SamplerConfig { kappa0: 0.5, ..cfg(7) }, Window::Sequence(128)).unwrap();
+        for i in 0..1500u64 {
+            s.process(&item(((i * 29) % 300) as f64 * 10.0, i));
+        }
+        for lvl in &s.levels {
+            let l = lvl.level();
+            for e in lvl.entries() {
+                assert_eq!(
+                    e.accepted,
+                    s.ctx.hash_sampled(e.rep_hash, l),
+                    "entry at level {l} disagrees with its rate"
+                );
+                assert!(s.ctx.any_adjacent_sampled(&e.rep, l), "untracked entry at level {l}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_refusing_level_answers_again_once_its_horizon_expires() {
+        let mut s = SlidingWindowSampler::try_with_threshold(cfg(8), Window::Sequence(8), 2).unwrap();
+        for i in 0..3u64 {
+            s.process(&item(i as f64 * 10.0, i));
+        }
+        // level 0 (rate 1) took two groups and refused the third
+        assert_eq!(s.level_occupancy()[0].0, 2);
+        assert_eq!(s.horizons[0], Some(Stamp::at(2)));
+        assert_ne!(s.exact_level(), Some(0));
+        // one group only, until the refused point (seq 2) leaves the window
+        for i in 3..11u64 {
+            s.process(&item(0.1, i));
+        }
+        assert_eq!(s.exact_level(), Some(0));
+        assert_eq!(s.f0_estimate(), 1.0);
     }
 
     #[test]
@@ -769,10 +827,11 @@ mod tests {
 
     #[test]
     fn rejected_group_refresh_keeps_sampler_answerable() {
-        // Regression test for deviation 3: force a scenario where the only
-        // live group was once rejected at a high level, then refreshed.
+        // The only live group was once rejected at the exact level; the
+        // fallback to the lowest level holding an accepted group keeps
+        // Lemma 2.10's guarantee that a non-empty window yields a sample.
         let mut s = SlidingWindowSampler::try_new(SamplerConfig { kappa0: 0.5, ..cfg(9) }, Window::Sequence(64)).unwrap();
-        // Fill with many groups to push entries upward (some rejected).
+        // Fill with many groups so every level tracks some (some rejected).
         for i in 0..512u64 {
             s.process(&item(((i * 13) % 128) as f64 * 10.0, i));
         }
@@ -857,7 +916,7 @@ mod tests {
     #[test]
     fn space_stays_polylogarithmic() {
         // window 4096, ~8192 groups: the naive tracker would hold 4096
-        // entries; the hierarchy must stay well below that.
+        // entries; the capped levels must stay well below that.
         let mut s = SlidingWindowSampler::try_new(
             SamplerConfig::builder(1, 0.5)
                 .seed(12)
@@ -871,7 +930,7 @@ mod tests {
         let entries: usize = s.all_entries().count();
         assert!(
             entries < 1200,
-            "hierarchy holds {entries} entries; expected O(log w log m)"
+            "levels hold {entries} entries; expected O(log w log m)"
         );
         assert!(s.peak_words() > 0);
     }

@@ -5,7 +5,7 @@
 //! ranges are nested (Fact 1b),
 //! `{x : h_{2R}(x) = 0} ⊆ {x : h_R(x) = 0}`,
 //! halving the sample rate only ever *removes* sampled cells — the property
-//! that makes rate doubling (Algorithm 1) and `Split` (Algorithm 4) sound.
+//! that makes rate doubling (Algorithm 1) and the window sampler's levels sound.
 
 use crate::{CellKeyMixer, KWiseHash, LANES};
 use rand::Rng;

@@ -3,7 +3,7 @@
 //! "Numerous tweets are re-sent with small edits" (paper, Section 1). We
 //! stream tweet embeddings with timestamps; each topic produces bursts of
 //! re-posts with small edits. A time-based sliding window keeps the last
-//! hour; the robust sliding-window sampler (Algorithm 3) answers
+//! hour; the robust sliding-window sampler answers
 //! "pick a random topic currently being discussed" — unbiased by how
 //! often each topic is re-posted — and the Section 5 estimator counts the
 //! live topics.

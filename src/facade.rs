@@ -5,7 +5,7 @@
 //! near-duplicate threshold `alpha`, the window model, the shard count —
 //! and assembles the backend: one [`ShardedEngine`] over the
 //! infinite-window sampler for [`Window::Infinite`], or over the
-//! sliding-window hierarchy for a bounded window. The sampler family is
+//! capped-level sliding-window sampler for a bounded window. The sampler family is
 //! picked there, once; the shard count is the engine's business (one
 //! shard runs the sampler inline on the writer's thread), so every
 //! configuration takes the same writer code path.

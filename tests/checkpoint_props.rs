@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use robust_distinct_sampling::core::{
     Checkpointable, DistinctSampler, JlRobustSampler, KWithReplacementSampler, RdsError,
-    RobustL0Sampler, SamplerConfig, SlidingWindowSampler,
+    RobustL0Sampler, SamplerConfig, SamplerSummary, SlidingWindowSampler,
 };
 use robust_distinct_sampling::core::FixedRateWindowSampler;
 use robust_distinct_sampling::{PublishCadence, Rds, WriterCheckpoint};
@@ -37,10 +37,12 @@ fn stream(n: u64, n_entities: u64) -> Vec<StreamItem> {
         .collect()
 }
 
-/// Feeds `items[..split]`, round-trips the sampler through JSON, feeds
-/// the rest into both the original and the restored copy, and asserts
-/// the two are observationally identical (estimates, counters, words,
-/// and a run of owned query draws that consume the live RNG).
+/// Feeds `items[..split]`, round-trips the sampler through JSON, and
+/// asserts the restored copy answers like the original right away
+/// (estimate, counters, words and a summary draw), before any later
+/// arrival could rebuild state the restore dropped. Then feeds the rest
+/// into both and asserts they stay observationally identical (the same
+/// plus a run of owned query draws that consume the live RNG).
 fn assert_family_round_trips<S>(mut original: S, items: &[StreamItem], split: usize)
 where
     S: DistinctSampler + Checkpointable,
@@ -51,6 +53,15 @@ where
     let wire = serde_json::to_string(&original.checkpoint_state()).expect("state serializes");
     let state = serde_json::from_str(&wire).expect("state deserializes");
     let mut restored = S::try_from_state(state).expect("state restores");
+    prop_assert_eq_outside_closure(original.f0_estimate(), restored.f0_estimate());
+    assert_eq!(original.seen(), restored.seen(), "arrival counter lost on restore");
+    assert_eq!(original.words(), restored.words(), "candidate structure lost on restore");
+    let (a, b) = (original.summary().query_record(1), restored.summary().query_record(1));
+    assert_eq!(
+        a.as_ref().map(|r| (&r.rep, r.count)),
+        b.as_ref().map(|r| (&r.rep, r.count)),
+        "the restored summary draws a different group"
+    );
     for it in &items[split..] {
         original.process(it);
         restored.process(it);

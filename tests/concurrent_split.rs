@@ -184,16 +184,21 @@ fn panicking_writer_leaves_readers_a_coherent_snapshot() {
     }));
 
     let done = AtomicBool::new(false);
+    // The newest epoch the observer has read: the writer waits for it to
+    // reach 1 before panicking, so a writer that publishes and dies before
+    // the observer is first scheduled cannot fail `observed >= 1`.
+    let observed_epoch = AtomicU64::new(0);
     let observed = std::thread::scope(|scope| {
         let observer = {
             let reader = reader.clone();
-            let done = &done;
+            let (done, observed_epoch) = (&done, &observed_epoch);
             scope.spawn(move || {
                 let mut last_epoch = 0u64;
                 while !done.load(Ordering::Relaxed) {
                     let snap = reader.snapshot();
                     assert!(snap.epoch() >= last_epoch, "stale epoch served");
                     last_epoch = snap.epoch();
+                    observed_epoch.store(last_epoch, Ordering::Release);
                     assert_eq!(
                         snap.f0_estimate(),
                         snap.seen().min(ENTITIES) as f64,
@@ -204,11 +209,20 @@ fn panicking_writer_leaves_readers_a_coherent_snapshot() {
                 last_epoch
             })
         };
+        let observed_epoch = &observed_epoch;
         let writer_thread = scope.spawn(move || {
             for i in 0..N {
                 writer.process(entity_point(i, ENTITIES));
             }
             writer.publish();
+            // bounded wait (at most ~10 s) for the observer to read a
+            // publication; past the bound the assertion below reports it
+            for _ in 0..10_000 {
+                if observed_epoch.load(Ordering::Acquire) >= 1 {
+                    break;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
             panic!("injected writer failure");
         });
         let crashed = writer_thread.join();

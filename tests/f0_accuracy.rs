@@ -100,21 +100,3 @@ fn sliding_window_f0_follows_the_window() {
         "estimate failed to follow: {phase1} -> {phase2}"
     );
 }
-
-#[test]
-fn fm_estimate_reports_sane_scale() {
-    let cfg = SamplerConfig::builder(1, 0.5)
-        .seed(13)
-        .expected_len(2048)
-        .kappa0(1.0).build().unwrap();
-    let mut est = SlidingWindowF0::try_new(cfg, Window::Sequence(512), 1.0).unwrap();
-    for i in 0..2048u64 {
-        est.process(&StreamItem::new(
-            rds_geometry::Point::new(vec![(i % 128) as f64 * 10.0]),
-            Stamp::at(i),
-        ));
-    }
-    let fm = est.fm_estimate();
-    // order-of-magnitude check only (the paper's own estimator sketch)
-    assert!(fm > 8.0 && fm < 2048.0, "fm estimate {fm}");
-}

@@ -1,5 +1,5 @@
 //! Failure-injection and edge-case integration tests: boundary geometry,
-//! degenerate streams, and the error paths of Algorithm 3.
+//! degenerate streams, and the window sampler's refusal path.
 
 use rds_core::{
     FixedRateWindowSampler, ProcessOutcome, RobustL0Sampler, SamplerConfig, SlidingWindowSampler,
@@ -88,8 +88,8 @@ fn window_larger_than_stream_never_expires() {
             Stamp::at(i),
         ));
     }
-    // the Horvitz-Thompson estimate is exact only while no split has
-    // happened; with threshold ~24 the 64 groups cascade once, so allow
+    // the Horvitz-Thompson estimate is exact only while level 0 holds
+    // every group; with threshold ~24 the 64 groups fill it, so allow
     // the sampling noise of one level
     let est = s.f0_estimate();
     assert!(
@@ -121,26 +121,39 @@ fn time_gaps_expire_everything_at_once() {
 
 #[test]
 fn overflow_error_path_is_survivable() {
-    // Force the Algorithm 3 "error" branch: a tiny window (few levels)
-    // with an absurdly small threshold and many groups per window.
+    // Every level refuses groups the window still holds: a tiny window
+    // (four levels), a cap of one accepted group per level and eight live
+    // groups in every window. No level sees the whole window, so the top
+    // level answers, falling back to the lowest level holding an accepted
+    // group — and a non-empty window must still yield a live sample.
     let cfg = SamplerConfig::builder(1, 0.5)
         .seed(11)
         .expected_len(4) // tiny m => threshold ~ kappa0 * 2
         .kappa0(0.1)
         .build()
         .unwrap();
-    let mut s = SlidingWindowSampler::try_new(cfg, Window::Sequence(8)).unwrap();
+    let w = 8u64;
+    let mut s = SlidingWindowSampler::try_new(cfg, Window::Sequence(w)).unwrap();
+    assert_eq!(s.threshold(), 1);
+    let mut inexact_steps = 0u64;
     for i in 0..2000u64 {
         s.process(&StreamItem::new(
             Point::new(vec![(i % 64) as f64 * 10.0]),
             Stamp::at(i),
         ));
-        // even past the error event the sampler keeps answering
-        assert!(s.query().is_some(), "query failed at step {i}");
+        inexact_steps += u64::from(s.exact_level().is_none());
+        let q = s.query().unwrap_or_else(|| panic!("query failed at step {i}"));
+        // the sample is one of the last w groups of the round robin
+        let g = (q.latest.get(0) / 10.0).round() as u64;
+        assert!((i + 64 - g) % 64 < w, "stale group {g} sampled at step {i}");
+        assert!(s.f0_estimate() >= 1.0, "non-empty window estimated empty at step {i}");
+        for (l, (acc, _)) in s.level_occupancy().into_iter().enumerate() {
+            assert!(acc <= 1, "level {l} passed its cap at step {i}");
+        }
     }
     assert!(
-        s.overflow_errors() > 0,
-        "test setup should have triggered the top-level overflow"
+        inexact_steps > 0,
+        "test setup should have left every level refusing live groups"
     );
 }
 

@@ -108,7 +108,7 @@ proptest! {
         }
     }
 
-    /// Algorithm 3 on arbitrary streams: a non-empty window always yields
+    /// The window sampler on arbitrary streams: a non-empty window always yields
     /// a sample and the sample is always a live point (Lemma 2.10 +
     /// Theorem 2.7 support).
     #[test]

@@ -148,7 +148,7 @@ fn massive_window_behaves_like_infinite_window() {
 
 #[test]
 fn stressed_sampler_never_misses_a_query() {
-    // Lemma 2.10 under cascades: tight thresholds, many groups cycling
+    // Lemma 2.10 under refusals: tight thresholds, many groups cycling
     let (items, _, alpha) = noisy_stream(6, 1500);
     let cfg = SamplerConfig::builder(3, alpha)
         .seed(17)
